@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
 Word = tuple[int, ...]
 
@@ -27,10 +28,6 @@ def parse_word(w, alphabet_size: int) -> Word:
         if not 0 <= c < alphabet_size:
             raise ValueError(f"letter {c} outside alphabet of size {alphabet_size}")
     return letters
-
-
-def format_word(w: Word) -> str:
-    return "".join(str(c) for c in w)
 
 
 def all_words(n: int, length: int):
@@ -129,17 +126,13 @@ class StatePartition:
     def single(cls, state_count: int) -> "StatePartition":
         return cls((0,) * state_count, 1 if state_count else 0)
 
-    @classmethod
-    def from_blocks(cls, blocks, state_count: int) -> "StatePartition":
-        labels = [-1] * state_count
-        for i, block in enumerate(blocks):
-            for s in block:
-                if labels[s] != -1:
-                    raise ValueError(f"state {s} appears in two blocks")
-                labels[s] = i
-        if any(x == -1 for x in labels):
-            raise ValueError("blocks do not cover all states")
-        return cls.from_class_of(labels)
+    def representatives(self) -> list[int]:
+        """The least state of each class, indexed by class."""
+        rep = [-1] * self.class_count
+        for s, c in enumerate(self.class_of):
+            if rep[c] == -1:
+                rep[c] = s
+        return rep
 
     def blocks(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.class_count)]
@@ -161,10 +154,7 @@ def is_folding(a: Automaton, p: StatePartition) -> bool:
     """True iff equivalent states always transition to equivalent states."""
     if len(p.class_of) != a.state_count:
         raise ValueError("partition does not match automaton state count")
-    rep = [-1] * p.class_count
-    for s, c in enumerate(p.class_of):
-        if rep[c] == -1:
-            rep[c] = s
+    rep = p.representatives()
     for s, c in enumerate(p.class_of):
         r = rep[c]
         if r == s:
@@ -179,10 +169,7 @@ def quotient(a: Automaton, p: StatePartition) -> Automaton:
     """The folded automaton A/p.  Requires p to be a folding of A."""
     if not is_folding(a, p):
         raise ValueError("partition is not a folding of the automaton")
-    rep = [-1] * p.class_count
-    for s, c in enumerate(p.class_of):
-        if rep[c] == -1:
-            rep[c] = s
+    rep = p.representatives()
     delta = tuple(
         tuple(p.class_of[a.delta[rep[c]][x]] for x in range(a.alphabet_size))
         for c in range(p.class_count)
@@ -230,11 +217,20 @@ def is_strongly_synchronizing(a: Automaton) -> bool:
     return sync_level(a) is not None
 
 
-def sync_map(a: Automaton, w) -> int:
-    """The state forced by w; checked by evaluating from every start state."""
+def require_sync_level(a: Automaton, what: str = "automaton", core: bool = False) -> int:
+    """sync_level(a), raising ValueError naming `what` unless A is strongly
+    synchronizing and, when `core` is set, core."""
     k = sync_level(a)
     if k is None:
-        raise ValueError("automaton is not strongly synchronizing")
+        raise ValueError(f"{what} is not strongly synchronizing")
+    if core and not is_core(a):
+        raise ValueError(f"{what} is not core")
+    return k
+
+
+def sync_map(a: Automaton, w) -> int:
+    """The state forced by w; checked by evaluating from every start state."""
+    k = require_sync_level(a)
     word = parse_word(w, a.alphabet_size)
     if len(word) < k:
         raise ValueError(f"word of length {len(word)} cannot force a state at level {k}")
@@ -245,9 +241,7 @@ def sync_map(a: Automaton, w) -> int:
 
 
 def core_states(a: Automaton) -> list[int]:
-    k = sync_level(a)
-    if k is None:
-        raise ValueError("automaton is not strongly synchronizing")
+    k = require_sync_level(a)
     reach = set(range(a.state_count))
     for _ in range(k):
         reach = {a.delta[q][x] for q in reach for x in range(a.alphabet_size)}
@@ -274,11 +268,7 @@ def folding_from_sync(a: Automaton, level: int | None = None) -> StatePartition:
     Words are equivalent when they force the same state.  `level` defaults to
     the minimal synchronizing level and may be any level A synchronizes at.
     """
-    k = sync_level(a)
-    if k is None:
-        raise ValueError("automaton is not strongly synchronizing")
-    if not is_core(a):
-        raise ValueError("automaton is not core")
+    k = require_sync_level(a, core=True)
     if level is None:
         level = k
     elif level < k:
@@ -317,37 +307,47 @@ def bfs_order(delta, n: int, root: int) -> list[int] | None:
     return order
 
 
-def _encoded_from(delta, n: int, order: list[int]) -> bytes:
-    m = len(delta)
-    old_of = [0] * m
+def inverse_order(order: list[int]) -> list[int]:
+    """The new -> old inverse of an old -> new renumbering."""
+    old_of = [0] * len(order)
     for old, new in enumerate(order):
         old_of[new] = old
-    flat = []
-    for new in range(m):
-        row = delta[old_of[new]]
-        flat.extend(order[row[x]] for x in range(n))
-    return _pack([n, m]) + _pack(flat)
+    return old_of
 
 
-def canonical_form(a: Automaton) -> bytes:
-    """Renaming-invariant encoding: least BFS encoding over all root choices.
+def least_encoding(delta, output=None) -> tuple[bytes, list[int]]:
+    """Least BFS encoding over all root choices, and the order producing it.
 
+    Each state, in BFS order, contributes its renamed transition row followed
+    by its output row when `output` is given.  Ties keep the least root.
     Requires every state to be reachable from at least one single state
     (true for any core strongly synchronizing automaton).
     """
-    if a.state_count >= 1 << 16:
-        raise CapExceededError("canonical_form supports fewer than 65536 states")
-    best = None
-    for root in range(a.state_count):
-        order = bfs_order(a.delta, a.alphabet_size, root)
+    m = len(delta)
+    if m >= 1 << 16:
+        raise CapExceededError("canonical encodings support fewer than 65536 states")
+    n = len(delta[0])
+    best = best_order = None
+    for root in range(m):
+        order = bfs_order(delta, n, root)
         if order is None:
             continue
-        enc = _encoded_from(a.delta, a.alphabet_size, order)
+        flat = [n, m]
+        for old in inverse_order(order):
+            flat.extend([order[t] for t in delta[old]])
+            if output is not None:
+                flat.extend(output[old])
+        enc = _pack(flat)
         if best is None or enc < best:
-            best = enc
+            best, best_order = enc, order
     if best is None:
-        raise ValueError("no state reaches the whole automaton; cannot canonicalize")
-    return b"A" + best
+        raise ValueError("no state reaches the whole machine; cannot canonicalize")
+    return best, best_order
+
+
+def canonical_form(a: Automaton) -> bytes:
+    """Renaming-invariant encoding: least BFS encoding over all root choices."""
+    return b"A" + least_encoding(a.delta)[0]
 
 
 def is_isomorphic(a: Automaton, b: Automaton) -> bool:
@@ -356,44 +356,49 @@ def is_isomorphic(a: Automaton, b: Automaton) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _merge_two(a: Automaton, p: int, q: int) -> Automaton:
-    labels = list(range(a.state_count))
-    labels[q] = p
-    return quotient(a, StatePartition.from_class_of(labels))
+def merge_search(start, target, size, merges, key, cap: int, what: str) -> bool:
+    """Can `start` reach `target`'s key by merges, each one state smaller (BFS under a cap)?"""
+    start_size, goal_size = size(start), size(target)
+    if start_size < goal_size:
+        return False
+    goal = key(target)
+    first = key(start)
+    if start_size == goal_size:
+        return first == goal
+    seen = {first}
+    frontier = [start]
+    while frontier:
+        grown = []
+        for current in frontier:
+            for merged in merges(current):
+                k = key(merged)
+                if k in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceededError(f"{what} search cap exceeded")
+                seen.add(k)
+                if size(merged) == goal_size:
+                    if k == goal:
+                        return True
+                elif size(merged) > goal_size:
+                    grown.append(merged)
+        frontier = grown
+    return False
+
+
+def _row_merges(a: Automaton):
+    """A with each pair of distinct row-equal states merged, one pair at a time."""
+    for members in row_merge_partition(a).blocks():
+        for i, p in enumerate(members):
+            for q in members[i + 1 :]:
+                labels = list(range(a.state_count))
+                labels[q] = p
+                yield quotient(a, StatePartition.from_class_of(labels))
 
 
 def is_collapse_equivalent(a: Automaton, b: Automaton, cap: int = 10**6) -> bool:
     """Can A reach an automaton isomorphic to B by one-pair row-equal merges?"""
     if a.alphabet_size != b.alphabet_size:
         return False
-    if a.state_count < b.state_count:
-        return False
-    target = canonical_form(b)
-    start = canonical_form(a)
-    if a.state_count == b.state_count:
-        return start == target
-    seen = {start}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for current in frontier:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for s in range(current.state_count):
-                groups.setdefault(current.delta[s], []).append(s)
-            for members in groups.values():
-                for i, p in enumerate(members):
-                    for q in members[i + 1 :]:
-                        merged = _merge_two(current, p, q)
-                        key = canonical_form(merged)
-                        if key in seen:
-                            continue
-                        if len(seen) >= cap:
-                            raise CapExceededError("collapse-equivalence search cap exceeded")
-                        seen.add(key)
-                        if merged.state_count == b.state_count:
-                            if key == target:
-                                return True
-                        elif merged.state_count > b.state_count:
-                            nxt.append(merged)
-        frontier = nxt
-    return False
+    size = attrgetter("state_count")
+    return merge_search(a, b, size, _row_merges, canonical_form, cap, "collapse-equivalence")

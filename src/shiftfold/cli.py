@@ -161,14 +161,12 @@ def cmd_decompose(args) -> int:
     (outdir / "remainder.txt").write_text(render_transducer(result.remainder))
     lines = [f"factorization of {args.file}"]
     lines.append(f"remainder: remainder.txt order={order(result.remainder)}")
-    provenance = []
-    for step in reversed(result.steps):
-        machines = step.involutions if step.involutions is not None else (step.factor,)
-        for machine in reversed(machines):
-            provenance.append((step, machine))
-    for idx, ((step, _machine), factor) in enumerate(
-        zip(provenance, result.inverse_factors), start=1
-    ):
+    sources = [
+        step
+        for step in reversed(result.steps)
+        for _ in (step.involutions if step.involutions is not None else (step.factor,))
+    ]
+    for idx, (step, factor) in enumerate(zip(sources, result.inverse_factors), start=1):
         name = f"factor_{idx:02d}.txt"
         (outdir / name).write_text(render_transducer(factor))
         lines.append(
@@ -239,69 +237,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *positionals):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", default=None, help="write output here instead of stdout")
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg in ("n", "m", "k") else str)
         return p
 
-    p = add("debruijn", cmd_debruijn, "emit a de Bruijn graph automaton")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-    p = add("sync", cmd_sync, "synchronizing sequence and level of a machine")
-    p.add_argument("file")
-
-    p = add("core", cmd_core, "restrict a machine to its core")
-    p.add_argument("file")
-
-    p = add("minimize", cmd_minimize, "identify behaviourally equal states")
-    p.add_argument("file")
-
-    p = add("product", cmd_product, "monoid product of two transducers")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("invert", cmd_invert, "automata-theoretic inverse of a transducer")
-    p.add_argument("file")
-
-    p = add("check-hn", cmd_check_hn, "test core/invertible/bisynchronizing membership")
-    p.add_argument("file")
-
-    p = add("rule2trans", cmd_rule2trans, "turn a window rule into a transducer")
-    p.add_argument("file")
-
-    p = add("trans2rule", cmd_trans2rule, "turn a transducer into a window rule")
-    p.add_argument("file")
-
-    p = add("aut", cmd_aut, "enumerate digraph automorphisms")
-    p.add_argument("file")
+    add("debruijn", cmd_debruijn, "emit a de Bruijn graph automaton", "n", "m")
+    add("sync", cmd_sync, "synchronizing sequence and level of a machine", "file")
+    add("core", cmd_core, "restrict a machine to its core", "file")
+    add("minimize", cmd_minimize, "identify behaviourally equal states", "file")
+    add("product", cmd_product, "monoid product of two transducers", "left", "right")
+    add("invert", cmd_invert, "automata-theoretic inverse of a transducer", "file")
+    add("check-hn", cmd_check_hn, "test core/invertible/bisynchronizing membership", "file")
+    add("rule2trans", cmd_rule2trans, "turn a window rule into a transducer", "file")
+    add("trans2rule", cmd_trans2rule, "turn a transducer into a window rule", "file")
+    p = add("aut", cmd_aut, "enumerate digraph automorphisms", "file")
     p.add_argument("--cap", type=int, default=10_000)
-
-    p = add("haphi", cmd_haphi, "glue an automaton to itself along an automorphism")
-    p.add_argument("file")
+    p = add("haphi", cmd_haphi, "glue an automaton to itself along an automorphism", "file")
     p.add_argument("automorphism")
-
-    p = add("decompose", cmd_decompose, "factor into torsion elements (writes files)")
-    p.add_argument("file")
+    p = add("decompose", cmd_decompose, "factor into torsion elements (writes files)", "file")
     p.add_argument("--involutions", action="store_true")
-
-    p = add("order", cmd_order, "order of a group element")
-    p.add_argument("file")
+    p = add("order", cmd_order, "order of a group element", "file")
     p.add_argument("--cap", type=int, default=1_000)
-
-    p = add("fold-count", cmd_fold_count, "count foldings of a de Bruijn graph")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-    p = add("fold-enum", cmd_fold_enum, "list foldings of a de Bruijn graph")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    add("fold-count", cmd_fold_count, "count foldings of a de Bruijn graph", "n", "m")
+    p = add("fold-enum", cmd_fold_enum, "list foldings of a de Bruijn graph", "n", "m")
     p.add_argument("--method", choices=("exhaustive", "lattice"), default="lattice")
-
-    p = add("bell", cmd_bell, "Bell number")
-    p.add_argument("k", type=int)
-
+    add("bell", cmd_bell, "Bell number", "k")
     p = add("subgroup-ag", cmd_subgroup_ag, "automaton realizing a finite subgroup")
     p.add_argument("generators", nargs="+")
     p.add_argument("--cap", type=int, default=512)

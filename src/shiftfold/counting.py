@@ -7,7 +7,7 @@ Everything here is exact integer arithmetic; no floating point.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .automata import Automaton, CapExceededError, StatePartition, is_folding
 
@@ -17,12 +17,16 @@ LATTICE_CAP = 200_000
 
 @lru_cache(maxsize=None)
 def bell(k: int) -> int:
-    """Number of set partitions of a k-set, by the binomial recurrence."""
+    """Number of set partitions of a k-set: the first entry of row k of the Bell triangle."""
     if k < 0:
         raise ValueError("bell is defined for non-negative arguments")
-    if k == 0:
-        return 1
-    return sum(comb(k - 1, j - 1) * bell(k - j) for j in range(1, k + 1))
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def set_partitions(k: int):
@@ -153,12 +157,8 @@ def enumerate_foldings(
     if method == "exhaustive":
         if a.state_count > EXHAUSTIVE_STATE_CAP:
             raise CapExceededError("exhaustive folding enumeration capped at 12 states")
-        found = [
-            StatePartition(rgs, max(rgs) + 1)
-            for rgs in set_partitions(a.state_count)
-            if is_folding(a, StatePartition(rgs, max(rgs) + 1))
-        ]
-        return sorted(found, key=lambda p: p.class_of)
+        parts = (StatePartition(rgs, max(rgs) + 1) for rgs in set_partitions(a.state_count))
+        return sorted((p for p in parts if is_folding(a, p)), key=lambda p: p.class_of)
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, CapExceededError, sync_sequence
+from .automata import Automaton, merge_search, sync_sequence
 from .digraph_aut import (
     DigraphAutomorphism,
-    check_automorphism,
     edge_count_matrix,
     involution_factors,
+    perm_cycles,
+    relabeling,
     transducer_from_automorphism,
 )
 from .transducers import (
@@ -75,23 +76,6 @@ def alignment_permutation(t: Transducer, p: int, q: int) -> tuple[int, ...]:
     return tuple(alpha)
 
 
-def _cycles(perm) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = perm[x]
-        out.append(cycle)
-    return out
-
-
 def find_factor(
     t: Transducer, p: int, q: int
 ) -> tuple[int, Automaton, DigraphAutomorphism, Transducer]:
@@ -102,7 +86,7 @@ def find_factor(
     within one alignment cycle have become parallel.
     """
     alpha = alignment_permutation(t, p, q)
-    cycles = _cycles(alpha)
+    cycles = perm_cycles(alpha)
     b = invert(t).base
     seq = sync_sequence(b)
     for i, (term, part) in enumerate(seq.terms):
@@ -112,40 +96,54 @@ def find_factor(
         if all(
             term.delta[cq][cycle[0]] == term.delta[cq][x] for cycle in cycles for x in cycle[1:]
         ):
-            n = t.alphabet_size
-            edges = [tuple(range(n))] * term.state_count
-            edges[cq] = alpha
-            tau = DigraphAutomorphism(tuple(range(term.state_count)), tuple(edges))
-            check_automorphism(term, tau)
+            tau = relabeling(term, cq, alpha)
             return i, term, tau, transducer_from_automorphism(term, tau)
     raise AssertionError("no usable synchronizing-sequence term; input outside the group")
 
 
-def decompose_step(t: Transducer) -> tuple[DecompositionStep, Transducer]:
+def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:
     p, q = find_collapsible_pair(t)
     alpha = alignment_permutation(t, p, q)
-    level, _term, _tau, h = find_factor(t, p, q)
+    level, term, tau, h = find_factor(t, p, q)
+    involutions = None
+    if split:
+        involutions = tuple(
+            canonical_rep(transducer_from_automorphism(term, piece))
+            for piece in involution_factors(term, tau)
+        )
     reduced = canonical_rep(product_min(t, h))
     if reduced.state_count >= t.state_count:
         raise AssertionError("decomposition step failed to shrink the machine")
     step = DecompositionStep(
-        pair=(p, q), alpha=alpha, level_i=level, factor=canonical_rep(h), reduced=reduced
+        pair=(p, q),
+        alpha=alpha,
+        level_i=level,
+        factor=canonical_rep(h),
+        reduced=reduced,
+        involutions=involutions,
     )
     return step, reduced
 
 
-def decompose(t: Transducer) -> Factorization:
-    """Write T as a single-state remainder times inverses of the step factors."""
+def decompose_step(t: Transducer) -> tuple[DecompositionStep, Transducer]:
+    """One collapse of a pair of states: the step record and the smaller machine."""
+    return _step(t, split=False)
+
+
+def _decompose(t: Transducer, split: bool) -> Factorization:
+    """Collapse pairs until one state is left; `split` splits each factor into involutions."""
     if not is_in_hn(t):
         raise ValueError("decomposition is defined on invertible bisynchronizing machines")
     original = canonical_rep(t)
     steps: list[DecompositionStep] = []
     current = original
     while current.state_count > 1:
-        step, current = decompose_step(current)
+        step, current = _step(current, split)
         steps.append(step)
     inverse_factors = tuple(
-        canonical_rep(invert(step.factor)) for step in reversed(steps)
+        canonical_rep(invert(machine))
+        for step in reversed(steps)
+        for machine in reversed(step.involutions if split else (step.factor,))
     )
     return Factorization(
         original=original,
@@ -155,45 +153,14 @@ def decompose(t: Transducer) -> Factorization:
     )
 
 
+def decompose(t: Transducer) -> Factorization:
+    """Write T as a single-state remainder times inverses of the step factors."""
+    return _decompose(t, split=False)
+
+
 def decompose_involutions(t: Transducer) -> Factorization:
     """Like decompose, but each step factor is split into involutions first."""
-    if not is_in_hn(t):
-        raise ValueError("decomposition is defined on invertible bisynchronizing machines")
-    original = canonical_rep(t)
-    steps: list[DecompositionStep] = []
-    current = original
-    while current.state_count > 1:
-        p, q = find_collapsible_pair(current)
-        alpha = alignment_permutation(current, p, q)
-        level, term, tau, h = find_factor(current, p, q)
-        parts = involution_factors(term, tau)
-        machines = tuple(
-            canonical_rep(transducer_from_automorphism(term, piece)) for piece in parts
-        )
-        reduced = canonical_rep(product_min(current, h))
-        if reduced.state_count >= current.state_count:
-            raise AssertionError("decomposition step failed to shrink the machine")
-        steps.append(
-            DecompositionStep(
-                pair=(p, q),
-                alpha=alpha,
-                level_i=level,
-                factor=canonical_rep(h),
-                reduced=reduced,
-                involutions=machines,
-            )
-        )
-        current = reduced
-    inverse_factors = []
-    for step in reversed(steps):
-        for machine in reversed(step.involutions):
-            inverse_factors.append(canonical_rep(invert(machine)))
-    return Factorization(
-        original=original,
-        remainder=current,
-        inverse_factors=tuple(inverse_factors),
-        steps=tuple(steps),
-    )
+    return _decompose(t, split=True)
 
 
 def verify(f: Factorization) -> bool:
@@ -223,11 +190,6 @@ def verify(f: Factorization) -> bool:
                 return False
         current = step.reduced
     return current.state_count == 1
-
-
-def count_matrix(a: Automaton) -> tuple[tuple[int, ...], ...]:
-    """The digraph of an automaton, as its edge-count matrix."""
-    return edge_count_matrix(a)
 
 
 def _canonical_matrix(mat: tuple[tuple[int, ...], ...]) -> tuple:
@@ -269,43 +231,27 @@ def _canonical_matrix(mat: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(best)
 
 
+def _amalgamations(mat: tuple[tuple[int, ...], ...]):
+    """The matrix with each pair of equal-row vertices merged, one pair at a time."""
+    m = len(mat)
+    for v1 in range(m):
+        for v2 in range(v1 + 1, m):
+            if mat[v1] != mat[v2]:
+                continue
+            keep = [v for v in range(m) if v != v2]
+            yield tuple(
+                tuple(mat[p][r] + (mat[p][v2] if r == v1 else 0) for r in keep) for p in keep
+            )
+
+
 def is_amalgamation(gb: Automaton, ga: Automaton, cap: int = 100_000) -> bool:
     """Is Gb's digraph reachable from Ga's by merging amalgamable vertex pairs?"""
-    target_size = gb.state_count
-    start = count_matrix(ga)
-    target = _canonical_matrix(count_matrix(gb))
-    if target_size > len(start):
-        return False
-    seen = {_canonical_matrix(start)}
-    if target_size == len(start):
-        return _canonical_matrix(start) == target
-    frontier = [start]
-    while frontier:
-        grown = []
-        for mat in frontier:
-            m = len(mat)
-            for v1 in range(m):
-                for v2 in range(v1 + 1, m):
-                    if mat[v1] != mat[v2]:
-                        continue
-                    keep = [v for v in range(m) if v != v2]
-                    merged = []
-                    for p in keep:
-                        row = [
-                            mat[p][r] + (mat[p][v2] if r == v1 else 0) for r in keep
-                        ]
-                        merged.append(tuple(row))
-                    merged_t = tuple(merged)
-                    key = _canonical_matrix(merged_t)
-                    if key in seen:
-                        continue
-                    if len(seen) >= cap:
-                        raise CapExceededError("amalgamation search cap exceeded")
-                    seen.add(key)
-                    if len(merged_t) == target_size:
-                        if key == target:
-                            return True
-                    elif len(merged_t) > target_size:
-                        grown.append(merged_t)
-        frontier = grown
-    return False
+    return merge_search(
+        edge_count_matrix(ga),
+        edge_count_matrix(gb),
+        len,
+        _amalgamations,
+        _canonical_matrix,
+        cap,
+        "amalgamation",
+    )

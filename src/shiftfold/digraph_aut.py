@@ -9,7 +9,7 @@ edge_letters[q][x]) of the same digraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .automata import Automaton, CapExceededError, all_words, is_core, sync_level, sync_map
 from .transducers import (
@@ -25,9 +25,6 @@ from .transducers import (
 class DigraphAutomorphism:
     vertex_perm: tuple[int, ...]
     edge_letters: tuple[tuple[int, ...], ...]
-
-    def edge_map(self, state: int, letter: int) -> tuple[int, int]:
-        return (self.vertex_perm[state], self.edge_letters[state][letter])
 
     def is_identity(self) -> bool:
         if any(v != i for i, v in enumerate(self.vertex_perm)):
@@ -53,10 +50,31 @@ def check_automorphism(a: Automaton, phi: DigraphAutomorphism) -> None:
                 raise ValueError(f"edge ({q},{x}) image breaks target incidence")
 
 
-def make_automorphism(a: Automaton, vertex_perm, edge_letters) -> DigraphAutomorphism:
-    phi = DigraphAutomorphism(tuple(vertex_perm), tuple(tuple(r) for r in edge_letters))
-    check_automorphism(a, phi)
-    return phi
+def relabeling(a: Automaton, q: int, letters) -> DigraphAutomorphism:
+    """The checked automorphism fixing every vertex and relabeling only q's edges."""
+    edges = [tuple(range(a.alphabet_size))] * a.state_count
+    edges[q] = tuple(letters)
+    tau = DigraphAutomorphism(tuple(range(a.state_count)), tuple(edges))
+    check_automorphism(a, tau)
+    return tau
+
+
+def perm_cycles(perm) -> list[list[int]]:
+    """The nontrivial cycles of a permutation, each listed from its least point."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = perm[x]
+        out.append(cycle)
+    return out
 
 
 def identity_automorphism(a: Automaton) -> DigraphAutomorphism:
@@ -159,33 +177,19 @@ def enumerate_automorphisms(a: Automaton, cap: int = 10_000) -> list[DigraphAuto
             choices_per_class = []
             class_letters = []
             for target in sorted(letters_to[q]):
-                src = letters_to[q][target]
-                dst = letters_to[vperm[q]][vperm[target]]
-                class_letters.append(src)
-                choices_per_class.append(list(permutations(dst)))
+                class_letters.append(letters_to[q][target])
+                choices_per_class.append(permutations(letters_to[vperm[q]][vperm[target]]))
             rows = []
-            stack = [[]]
-            for letters, choices in zip(class_letters, choices_per_class):
-                stack = [prev + [(letters, pick)] for prev in stack for pick in choices]
-            for combo in stack:
+            for combo in product(*choices_per_class):
                 row = [0] * n
-                for letters, pick in combo:
+                for letters, pick in zip(class_letters, combo):
                     for x, y in zip(letters, pick):
                         row[x] = y
                 rows.append(tuple(row))
             rows.sort()
             per_state_rows.append(rows)
 
-        def assemble(q: int, acc: list[tuple[int, ...]]):
-            if q == m:
-                yield tuple(acc)
-                return
-            for row in per_state_rows[q]:
-                acc.append(row)
-                yield from assemble(q + 1, acc)
-                acc.pop()
-
-        for edge_rows in assemble(0, []):
+        for edge_rows in product(*per_state_rows):
             if len(out) >= cap:
                 raise CapExceededError("automorphism enumeration cap exceeded")
             phi = DigraphAutomorphism(vperm, edge_rows)
@@ -258,27 +262,11 @@ def involution_factors(a: Automaton, phi: DigraphAutomorphism) -> list[DigraphAu
     check_automorphism(a, phi)
     if any(v != q for q, v in enumerate(phi.vertex_perm)):
         raise ValueError("automorphism moves a vertex")
-    n = a.alphabet_size
     factors: list[DigraphAutomorphism] = []
     for q in range(a.state_count):
-        row = phi.edge_letters[q]
-        seen = [False] * n
-        for start in range(n):
-            if seen[start] or row[start] == start:
-                seen[start] = True
-                continue
-            cycle = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = row[x]
+        for cycle in perm_cycles(phi.edge_letters[q]):
             for other in cycle[1:]:
-                swap = list(range(n))
-                swap[start], swap[other] = other, start
-                edges = [tuple(range(n))] * a.state_count
-                edges[q] = tuple(swap)
-                tau = DigraphAutomorphism(tuple(range(a.state_count)), tuple(edges))
-                check_automorphism(a, tau)
-                factors.append(tau)
+                swap = list(range(a.alphabet_size))
+                swap[cycle[0]], swap[other] = other, cycle[0]
+                factors.append(relabeling(a, q, swap))
     return factors

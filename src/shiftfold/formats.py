@@ -8,6 +8,8 @@ callers can distinguish the two.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .automata import Automaton, StatePartition
 from .digraph_aut import DigraphAutomorphism, check_automorphism
 from .rules import LocalRule
@@ -69,7 +71,12 @@ def _content_lines(text: str):
             yield i, line
 
 
-def _header_fields(line: str, lineno: int, tag: str, keys: tuple[str, ...]) -> list[int]:
+def _header(text: str, tag: str, keys: tuple[str, ...]):
+    """Content lines of `text` and the integer header fields named by `keys`."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError("empty input")
+    lineno, line = lines[0]
     parts = line.split()
     if not parts or parts[0] != tag:
         raise ParseError(f"expected {tag!r} header", lineno)
@@ -86,7 +93,7 @@ def _header_fields(line: str, lineno: int, tag: str, keys: tuple[str, ...]) -> l
             values.append(int(value))
         except ValueError:
             raise ParseError(f"field {want!r} is not an integer", lineno) from None
-    return values
+    return lines, values
 
 
 def _ints(text: str, lineno: int) -> list[int]:
@@ -105,135 +112,125 @@ def sniff_format(text: str) -> str:
     raise ParseError("empty input")
 
 
-def parse_automaton(text: str) -> Automaton:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    n, m = _header_fields(header, lineno, "automaton", ("n", "states"))
-    rows = _state_rows(lines[1:], m, expect_output=False)
+@contextmanager
+def _semantic(lineno: int | None = None):
+    """Report a constructor's validation ValueError as a SemanticError."""
     try:
-        return Automaton(n, tuple(tuple(r[0]) for r in rows))
+        yield
     except ValueError as exc:
-        raise SemanticError(str(exc), lines[0][0]) from None
+        raise SemanticError(str(exc), lineno) from None
 
 
-def parse_transducer(text: str) -> Transducer:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    n, m = _header_fields(header, lineno, "transducer", ("n", "states"))
-    rows = _state_rows(lines[1:], m, expect_output=True)
-    try:
-        base = Automaton(n, tuple(tuple(r[0]) for r in rows))
-        return Transducer(base, tuple(tuple(r[1]) for r in rows))
-    except ValueError as exc:
-        raise SemanticError(str(exc), lines[0][0]) from None
+def _labelled_ints(entry: tuple[int, str], label: str) -> tuple[int, list[int]]:
+    """The integers on a `label: ...` line, with its line number."""
+    lineno, body = entry
+    if not body.startswith(label + ":"):
+        raise ParseError(f"expected '{label}:' line", lineno)
+    return lineno, _ints(body[len(label) + 1 :], lineno)
 
 
-def _state_rows(lines, m: int, expect_output: bool):
-    rows: dict[int, tuple] = {}
+def _one_labelled_line(lines, tag: str, label: str) -> tuple[int, list[int]]:
+    """The integers on the single `label:` line that must follow a header."""
+    if len(lines) != 2:
+        raise ParseError(f"{tag} needs exactly one {label} line", lines[0][0])
+    return _labelled_ints(lines[1], label)
+
+
+_ROW_MESSAGES = {  # keyword: (expected line, id, defined twice, missing ids)
+    "state": ("a state line", "state id", "state {} defined twice", "need states 0..{}, got {}"),
+    "edges": (
+        "an edges line",
+        "edges state id",
+        "edges for state {} defined twice",
+        "need edges lines for states 0..{}",
+    ),
+}
+
+
+def _indexed_rows(lines, keyword: str, m: int, parse_row) -> list:
+    """Rows of the `keyword q: ...` lines for q = 0..m-1, each parsed by parse_row."""
+    expected, id_name, twice, missing = _ROW_MESSAGES[keyword]
+    rows: dict[int, object] = {}
     for lineno, line in lines:
-        if not line.startswith("state "):
-            raise ParseError(f"expected a state line, got {line!r}", lineno)
+        if not line.startswith(keyword + " "):
+            raise ParseError(f"expected {expected}, got {line!r}", lineno)
         head, _, rest = line.partition(":")
         try:
-            q = int(head[len("state ") :].strip())
+            q = int(head[len(keyword) + 1 :].strip())
         except ValueError:
-            raise ParseError("state id is not an integer", lineno) from None
+            raise ParseError(f"{id_name} is not an integer", lineno) from None
         if q in rows:
-            raise SemanticError(f"state {q} defined twice", lineno)
-        if expect_output:
-            if "|" not in rest:
-                raise ParseError("transducer state line needs 'delta | output'", lineno)
-            left, _, right = rest.partition("|")
-            rows[q] = (_ints(left, lineno), _ints(right, lineno))
-        else:
-            if "|" in rest:
-                raise ParseError("automaton state line must not contain '|'", lineno)
-            rows[q] = (_ints(rest, lineno), None)
-    if sorted(rows) != list(range(m)):
-        raise SemanticError(f"need states 0..{m - 1}, got {sorted(rows)}", None)
+            raise SemanticError(twice.format(q), lineno)
+        rows[q] = parse_row(rest, lineno)
+    # checks ids and counts only: nothing here grows with the header's m
+    if len(rows) < m or not all(0 <= q < m for q in rows):
+        raise SemanticError(missing.format(m - 1, sorted(rows)), None)
     return [rows[q] for q in range(m)]
 
 
+def _machine_tables(text: str, tag: str):
+    """Header line number, alphabet size, transition rows and output rows."""
+    lines, (n, m) = _header(text, tag, ("n", "states"))
+    with_output = tag == "transducer"
+
+    def state_row(rest: str, lineno: int):
+        if with_output and "|" not in rest:
+            raise ParseError("transducer state line needs 'delta | output'", lineno)
+        if not with_output and "|" in rest:
+            raise ParseError("automaton state line must not contain '|'", lineno)
+        left, _, right = rest.partition("|")
+        return tuple(_ints(left, lineno)), tuple(_ints(right, lineno))
+
+    rows = _indexed_rows(lines[1:], "state", m, state_row)
+    return lines[0][0], n, tuple(r[0] for r in rows), tuple(r[1] for r in rows)
+
+
+def parse_automaton(text: str) -> Automaton:
+    lineno, n, delta, _ = _machine_tables(text, "automaton")
+    with _semantic(lineno):
+        return Automaton(n, delta)
+
+
+def parse_transducer(text: str) -> Transducer:
+    lineno, n, delta, output = _machine_tables(text, "transducer")
+    with _semantic(lineno):
+        return Transducer(Automaton(n, delta), output)
+
+
 def parse_rule(text: str) -> LocalRule:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    n, window = _header_fields(header, lineno, "rule", ("n", "window"))
-    if len(lines) != 2:
-        raise ParseError("rule needs exactly one outputs line", lineno)
-    lineno2, body = lines[1]
-    if not body.startswith("outputs:"):
-        raise ParseError("expected 'outputs:' line", lineno2)
-    table = _ints(body[len("outputs:") :], lineno2)
-    try:
+    lines, (n, window) = _header(text, "rule", ("n", "window"))
+    lineno, table = _one_labelled_line(lines, "rule", "outputs")
+    with _semantic(lineno):
         return LocalRule(n, window, tuple(table))
-    except ValueError as exc:
-        raise SemanticError(str(exc), lineno2) from None
 
 
 def parse_partition(text: str) -> StatePartition:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    m, classes = _header_fields(header, lineno, "partition", ("states", "classes"))
-    if len(lines) != 2:
-        raise ParseError("partition needs exactly one class_of line", lineno)
-    lineno2, body = lines[1]
-    if not body.startswith("class_of:"):
-        raise ParseError("expected 'class_of:' line", lineno2)
-    table = _ints(body[len("class_of:") :], lineno2)
+    lines, (m, classes) = _header(text, "partition", ("states", "classes"))
+    lineno, table = _one_labelled_line(lines, "partition", "class_of")
     if len(table) != m:
-        raise SemanticError(f"need {m} entries, got {len(table)}", lineno2)
-    try:
-        part = StatePartition(tuple(table), classes)
-    except ValueError as exc:
-        raise SemanticError(str(exc), lineno2) from None
-    return part
+        raise SemanticError(f"need {m} entries, got {len(table)}", lineno)
+    with _semantic(lineno):
+        return StatePartition(tuple(table), classes)
 
 
 def parse_automorphism(text: str, automaton: Automaton | None = None) -> DigraphAutomorphism:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    n, m = _header_fields(header, lineno, "automorphism", ("n", "states"))
+    lines, (n, m) = _header(text, "automorphism", ("n", "states"))
     if len(lines) < 2:
-        raise ParseError("automorphism needs a vertices line", lineno)
-    lineno2, body = lines[1]
-    if not body.startswith("vertices:"):
-        raise ParseError("expected 'vertices:' line", lineno2)
-    vertex = _ints(body[len("vertices:") :], lineno2)
+        raise ParseError("automorphism needs a vertices line", lines[0][0])
+    lineno, vertex = _labelled_ints(lines[1], "vertices")
     if len(vertex) != m:
-        raise SemanticError(f"need {m} vertex images", lineno2)
-    rows: dict[int, list[int]] = {}
-    for lineno3, line in lines[2:]:
-        if not line.startswith("edges "):
-            raise ParseError(f"expected an edges line, got {line!r}", lineno3)
-        head, _, rest = line.partition(":")
-        try:
-            q = int(head[len("edges ") :].strip())
-        except ValueError:
-            raise ParseError("edges state id is not an integer", lineno3) from None
-        if q in rows:
-            raise SemanticError(f"edges for state {q} defined twice", lineno3)
-        row = _ints(rest, lineno3)
+        raise SemanticError(f"need {m} vertex images", lineno)
+
+    def edge_row(rest: str, lineno: int) -> tuple[int, ...]:
+        row = _ints(rest, lineno)
         if len(row) != n:
-            raise SemanticError(f"need {n} letter images", lineno3)
-        rows[q] = row
-    if sorted(rows) != list(range(m)):
-        raise SemanticError(f"need edges lines for states 0..{m - 1}", None)
-    phi = DigraphAutomorphism(tuple(vertex), tuple(tuple(rows[q]) for q in range(m)))
+            raise SemanticError(f"need {n} letter images", lineno)
+        return tuple(row)
+
+    phi = DigraphAutomorphism(tuple(vertex), tuple(_indexed_rows(lines[2:], "edges", m, edge_row)))
     if automaton is not None:
-        try:
+        with _semantic():
             check_automorphism(automaton, phi)
-        except ValueError as exc:
-            raise SemanticError(str(exc)) from None
     return phi
 
 

@@ -15,9 +15,8 @@ from .automata import (
     Word,
     all_words,
     de_bruijn,
-    is_core,
     parse_word,
-    sync_level,
+    require_sync_level,
     sync_map,
     word_rank,
 )
@@ -77,24 +76,20 @@ def apply_windows(f: LocalRule, x) -> Word:
     return tuple(out)
 
 
+def _permutive(f: LocalRule, step: int, starts) -> bool:
+    """Does x -> table[start + x * step] permute the alphabet for every start?"""
+    n = f.alphabet_size
+    return all(len({f.table[s + x * step] for x in range(n)}) == n for s in starts)
+
+
 def is_right_permutive(f: LocalRule) -> bool:
     """For every fixed left block, the map on the final letter is a permutation."""
-    n = f.alphabet_size
-    for a in range(n ** (f.window - 1)):
-        seen = {f.table[a * n + x] for x in range(n)}
-        if len(seen) != n:
-            return False
-    return True
+    return _permutive(f, 1, range(0, len(f.table), f.alphabet_size))
 
 
 def is_left_permutive(f: LocalRule) -> bool:
-    n = f.alphabet_size
-    stride = n ** (f.window - 1)
-    for b in range(stride):
-        seen = {f.table[x * stride + b] for x in range(n)}
-        if len(seen) != n:
-            return False
-    return True
+    stride = f.alphabet_size ** (f.window - 1)
+    return _permutive(f, stride, range(stride))
 
 
 def extend(f: LocalRule, k: int) -> LocalRule:
@@ -139,11 +134,7 @@ def rule_to_transducer(f: LocalRule) -> Transducer:
 
 def transducer_to_rule(t: Transducer) -> LocalRule:
     """Window-(k+1) rule recovering the machine's sliding action (k its sync level)."""
-    k = sync_level(t.base)
-    if k is None:
-        raise ValueError("transducer is not strongly synchronizing")
-    if not is_core(t.base):
-        raise ValueError("transducer is not core")
+    k = require_sync_level(t.base, "transducer", core=True)
     n = t.alphabet_size
     table = []
     for w in all_words(n, k):

@@ -21,6 +21,7 @@ from .automata import (
     is_folding,
     parse_word,
     quotient,
+    require_sync_level,
     sync_level,
     sync_map,
     word_rank,
@@ -70,9 +71,7 @@ def w_word(h: Transducer, gamma) -> tuple[int, ...]:
     forced state must be choice independent, and the sequence must be purely
     periodic.
     """
-    k = sync_level(h.base)
-    if k is None:
-        raise ValueError("machine is not strongly synchronizing")
+    k = require_sync_level(h.base, "machine")
     word = parse_word(gamma, h.alphabet_size)
     if len(word) < k:
         raise ValueError("word shorter than the synchronizing level")
@@ -127,8 +126,9 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
             raise ValueError("generators must be invertible and bisynchronizing")
 
     elements: dict[bytes, Transducer] = {}
-    work = []
-    for t in [identity_transducer(n)] + list(gens):
+    work: list[Transducer] = []
+
+    def admit(t: Transducer) -> None:
         rep = canonical_rep(t)
         key = canonical_key(rep)
         if key not in elements:
@@ -136,6 +136,9 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
                 raise CapExceededError("subgroup closure cap exceeded")
             elements[key] = rep
             work.append(rep)
+
+    for t in [identity_transducer(n)] + list(gens):
+        admit(t)
     while work:
         t = work.pop()
         candidates = [invert(t)]
@@ -143,13 +146,7 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
             candidates.append(product_min(t, u))
             candidates.append(product_min(u, t))
         for candidate in candidates:
-            rep = canonical_rep(candidate)
-            key = canonical_key(rep)
-            if key not in elements:
-                if len(elements) >= cap:
-                    raise CapExceededError("subgroup closure cap exceeded")
-                elements[key] = rep
-                work.append(rep)
+            admit(candidate)
     ordered = tuple(
         sorted(elements.values(), key=lambda t: (t.state_count, canonical_key(t)))
     )

@@ -14,16 +14,16 @@ from math import ceil
 
 from .automata import (
     Automaton,
-    CapExceededError,
     StatePartition,
     Word,
-    bfs_order,
-    core_states,
+    core_of,
+    inverse_order,
     is_core,
+    least_encoding,
     parse_word,
     quotient,
+    require_sync_level,
     sync_level,
-    _pack,
 )
 
 
@@ -108,19 +108,10 @@ def product_raw(t: Transducer, u: Transducer) -> Transducer:
     return Transducer(Automaton(n, tuple(delta)), tuple(output))
 
 
-def restrict(t: Transducer, kept) -> Transducer:
-    kept = list(kept)
-    index = {old: new for new, old in enumerate(kept)}
-    delta = tuple(
-        tuple(index[t.base.delta[old][x]] for x in range(t.alphabet_size)) for old in kept
-    )
-    output = tuple(t.output[old] for old in kept)
-    return Transducer(Automaton(t.alphabet_size, delta), output)
-
-
 def core(t: Transducer) -> Transducer:
     """Restriction to the forced-state image of the underlying automaton."""
-    return restrict(t, core_states(t.base))
+    base, kept = core_of(t.base)
+    return Transducer(base, tuple(t.output[q] for q in kept))
 
 
 def minimize_partition(t: Transducer) -> StatePartition:
@@ -141,10 +132,7 @@ def minimize_partition(t: Transducer) -> StatePartition:
 def weak_minimize(t: Transducer) -> Transducer:
     """Merge states that output the same word on every input."""
     part = minimize_partition(t)
-    rep = [-1] * part.class_count
-    for s, c in enumerate(part.class_of):
-        if rep[c] == -1:
-            rep[c] = s
+    rep = part.representatives()
     base = quotient(t.base, part)
     output = tuple(t.output[rep[c]] for c in range(part.class_count))
     return Transducer(base, output)
@@ -198,45 +186,12 @@ def bisync_levels(t: Transducer) -> tuple[int, int] | None:
 
 def is_in_hn(t: Transducer) -> bool:
     """Membership in the group of core invertible bisynchronizing machines."""
-    if not is_invertible(t):
-        return False
-    if sync_level(t.base) is None:
-        return False
-    if sync_level(invert(t).base) is None:
-        return False
-    return is_core(weak_minimize(t).base)
-
-
-def _best_encoding(t: Transducer) -> tuple[bytes, list[int]]:
-    n = t.alphabet_size
-    m = t.state_count
-    if m >= 1 << 16:
-        raise CapExceededError("canonical keys support fewer than 65536 states")
-    best = None
-    best_order = None
-    for root in range(m):
-        order = bfs_order(t.base.delta, n, root)
-        if order is None:
-            continue
-        old_of = [0] * m
-        for old, new in enumerate(order):
-            old_of[new] = old
-        flat = []
-        for new in range(m):
-            old = old_of[new]
-            flat.extend(order[t.base.delta[old][x]] for x in range(n))
-            flat.extend(t.output[old])
-        enc = _pack([n, m]) + _pack(flat)
-        if best is None or enc < best:
-            best, best_order = enc, order
-    if best is None:
-        raise ValueError("no state reaches the whole machine; cannot canonicalize")
-    return best, best_order
+    return bisync_levels(t) is not None and is_core(weak_minimize(t).base)
 
 
 def canonical_key(t: Transducer) -> bytes:
     """Renaming-invariant encoding of the machine including its outputs."""
-    return b"T" + _best_encoding(t)[0]
+    return b"T" + least_encoding(t.base.delta, t.output)[0]
 
 
 def canonical_rep(t: Transducer) -> Transducer:
@@ -246,18 +201,11 @@ def canonical_rep(t: Transducer) -> Transducer:
     representatives can serve as dictionary keys.
     """
     reduced = minimal_rep(t)
-    _, order = _best_encoding(reduced)
-    m = reduced.state_count
-    old_of = [0] * m
-    for old, new in enumerate(order):
-        old_of[new] = old
-    n = reduced.alphabet_size
-    delta = tuple(
-        tuple(order[reduced.base.delta[old_of[new]][x]] for x in range(n))
-        for new in range(m)
-    )
-    output = tuple(reduced.output[old_of[new]] for new in range(m))
-    return Transducer(Automaton(n, delta), output)
+    _, order = least_encoding(reduced.base.delta, reduced.output)
+    old_of = inverse_order(order)
+    delta = tuple(tuple(order[t] for t in reduced.base.delta[old]) for old in old_of)
+    output = tuple(reduced.output[old] for old in old_of)
+    return Transducer(Automaton(reduced.alphabet_size, delta), output)
 
 
 def equal_omega(t: Transducer, u: Transducer) -> bool:
@@ -273,11 +221,7 @@ def apply_periodic(t: Transducer, period) -> Word:
     Synchronizes by reading whole repetitions of the period first, so the
     forced-state history window behind position 0 always exists.
     """
-    k = sync_level(t.base)
-    if k is None:
-        raise ValueError("transducer is not strongly synchronizing")
-    if not is_core(t.base):
-        raise ValueError("transducer is not core")
+    k = require_sync_level(t.base, "transducer", core=True)
     w = parse_word(period, t.alphabet_size)
     if not w:
         raise ValueError("period must be nonempty")

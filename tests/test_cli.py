@@ -243,3 +243,11 @@ def test_identical_invocations_identical_output(capsys):
     _, first = run(capsys, "fold-enum", "2", "3")
     _, second = run(capsys, "fold-enum", "2", "3")
     assert first == second
+
+
+def test_large_bell_fails_cleanly(capsys):
+    code = main(["bell", "3000"])
+    err = capsys.readouterr().err
+    assert code in (2, 3)
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")

@@ -117,3 +117,23 @@ def test_dot_identity_loops():
 
 def test_dot_deterministic(fig_transducer):
     assert to_dot(fig_transducer) == to_dot(fig_transducer)
+
+
+def test_header_state_count_allocates_nothing():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(SemanticError) as err:
+            parse_transducer("transducer n=2 states=3000000\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "need states 0..2999999, got []"
+    assert peak < 1 << 20
+
+
+def test_negative_state_count_reaches_the_constructor():
+    for text in ("automaton n=2 states=-1\n", "transducer n=2 states=-3\n"):
+        with pytest.raises(SemanticError, match="needs at least one state"):
+            parse_machine(text)
