@@ -3,12 +3,16 @@
 States are dense integer indices.  De Bruijn states are the base-n values of
 their defining words, so state order equals lexicographic word order.  All
 values are immutable after construction and safe to share between threads.
+An `Automaton` computes its synchronization analysis (sync level and core
+states) on first use and keeps it; both are pure functions of the fields, so
+two threads racing on a fresh automaton only compute the same value twice.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import attrgetter
 
@@ -75,6 +79,22 @@ class Automaton:
         for c in parse_word(word, self.alphabet_size):
             state = self.delta[state][c]
         return state
+
+    @cached_property
+    def _sync_level(self) -> int | None:
+        """Index of the one-state term of the row-merge sequence, or None."""
+        for level, (delta, _) in enumerate(_merge_terms(self.delta)):
+            if len(delta) == 1:
+                return level
+        return None
+
+    @cached_property
+    def _core(self) -> tuple[int, ...]:
+        """Sorted states forced by words of length sync level (which must exist)."""
+        reach = set(range(self.state_count))
+        for _ in range(self._sync_level):
+            reach = {t for q in reach for t in self.delta[q]}
+        return tuple(sorted(reach))
 
 
 def de_bruijn(n: int, m: int) -> Automaton:
@@ -190,76 +210,94 @@ class SyncSequence:
     stabilization_index: int
 
 
-def sync_sequence(a: Automaton) -> SyncSequence:
-    terms = [(a, StatePartition.discrete(a.state_count))]
+def _merge_terms(delta):
+    """The row-merge sequence on plain arrays: yields (term delta, class_of).
+
+    Term 0 is `delta` itself with every state in its own class.  Each next
+    term identifies the states of the previous one whose rows coincide,
+    numbered by first occurrence, and `class_of` maps each original state to
+    its term state.  Merging equal rows is always a folding, so no term is
+    checked.  Stops after the first term without equal rows.
+    """
+    class_of = list(range(len(delta)))
     while True:
-        current, accumulated = terms[-1]
-        merge = row_merge_partition(current)
-        if merge.class_count == current.state_count:
-            break
-        composed = StatePartition.from_class_of(
-            merge.class_of[c] for c in accumulated.class_of
-        )
-        terms.append((quotient(current, merge), composed))
-    return SyncSequence(tuple(terms), len(terms) - 1)
+        yield delta, class_of
+        label: dict = {}
+        merged = [label.setdefault(row, len(label)) for row in delta]
+        if len(label) == len(delta):
+            return
+        delta = tuple(tuple(merged[t] for t in row) for row in label)
+        class_of = [merged[c] for c in class_of]
+
+
+def sync_sequence(a: Automaton) -> SyncSequence:
+    n = a.alphabet_size
+    terms = tuple(
+        (a if i == 0 else Automaton(n, delta), StatePartition(tuple(class_of), len(delta)))
+        for i, (delta, class_of) in enumerate(_merge_terms(a.delta))
+    )
+    return SyncSequence(terms, len(terms) - 1)
 
 
 def sync_level(a: Automaton) -> int | None:
     """Minimal j whose sync-sequence term has one state, or None."""
-    seq = sync_sequence(a)
-    for j, (term, _) in enumerate(seq.terms):
-        if term.state_count == 1:
-            return j
-    return None
+    return a._sync_level
 
 
 def is_strongly_synchronizing(a: Automaton) -> bool:
-    return sync_level(a) is not None
+    return a._sync_level is not None
 
 
 def require_sync_level(a: Automaton, what: str = "automaton", core: bool = False) -> int:
     """sync_level(a), raising ValueError naming `what` unless A is strongly
     synchronizing and, when `core` is set, core."""
-    k = sync_level(a)
+    k = a._sync_level
     if k is None:
         raise ValueError(f"{what} is not strongly synchronizing")
-    if core and not is_core(a):
+    if core and len(a._core) != a.state_count:
         raise ValueError(f"{what} is not core")
     return k
 
 
 def sync_map(a: Automaton, w) -> int:
-    """The state forced by w; checked by evaluating from every start state."""
+    """The state forced by w.
+
+    Walks the image of the whole state set one letter at a time; w forces a
+    state when that image ends as a single state, which every word of length
+    at least the sync level achieves.
+    """
     k = require_sync_level(a)
     word = parse_word(w, a.alphabet_size)
     if len(word) < k:
         raise ValueError(f"word of length {len(word)} cannot force a state at level {k}")
-    targets = {a.run(word, q) for q in range(a.state_count)}
+    delta = a.delta
+    targets = set(range(a.state_count))
+    for c in word:
+        targets = {delta[q][c] for q in targets}
     if len(targets) != 1:
         raise AssertionError("forced state is not unique; sync_level is inconsistent")
     return targets.pop()
 
 
 def core_states(a: Automaton) -> list[int]:
-    k = require_sync_level(a)
-    reach = set(range(a.state_count))
-    for _ in range(k):
-        reach = {a.delta[q][x] for q in reach for x in range(a.alphabet_size)}
-    return sorted(reach)
+    require_sync_level(a)
+    return list(a._core)
 
 
 def core_of(a: Automaton) -> tuple[Automaton, tuple[int, ...]]:
     """Sub-automaton on the forced-state image, plus the injection into A's states."""
-    kept = core_states(a)
+    require_sync_level(a)
+    kept = a._core
     index = {old: new for new, old in enumerate(kept)}
     delta = tuple(
         tuple(index[a.delta[old][x]] for x in range(a.alphabet_size)) for old in kept
     )
-    return Automaton(a.alphabet_size, delta), tuple(kept)
+    return Automaton(a.alphabet_size, delta), kept
 
 
 def is_core(a: Automaton) -> bool:
-    return len(core_states(a)) == a.state_count
+    require_sync_level(a)
+    return len(a._core) == a.state_count
 
 
 def folding_from_sync(a: Automaton, level: int | None = None) -> StatePartition:

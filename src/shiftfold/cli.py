@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import log10
 from pathlib import Path
 
 from . import counting
@@ -191,9 +192,22 @@ def cmd_order(args) -> int:
     return 0
 
 
+def _bell(k: int) -> int:
+    """counting.bell(k), refused up front when its decimal form is too long to print.
+
+    B(k) >= j**(k-j) for every j in 1..k (put 1..j in separate blocks and the
+    rest anywhere), so one j with (k-j)*log10(j) above Python's int-to-str
+    digit limit proves the answer unprintable before any work is done.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and any((k - j) * log10(j) > limit for j in range(2, k)):
+        raise ValueError(f"bell {k} exceeds the limit ({limit} digits) for integer string conversion")
+    return counting.bell(k)
+
+
 def cmd_fold_count(args) -> int:
     if args.m == 1:
-        value = counting.bell(args.n)
+        value = _bell(args.n)
     elif args.m == 2:
         value = counting.count_foldings_g_n_2(args.n)
     else:
@@ -210,7 +224,7 @@ def cmd_fold_enum(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    _emit(f"{counting.bell(args.k)}\n", args.output)
+    _emit(f"{_bell(args.k)}\n", args.output)
     return 0
 
 

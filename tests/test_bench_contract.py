@@ -3,12 +3,16 @@
 `bench/tracing.py` wraps every function in TRACED and COUNTED, and the
 fold-lattice workload clears the counting caches between items.  A library
 change that drops or moves one of these names would pass the rest of the
-suite and only fail in `bench.py --trace 1`, so the names are checked here.
-The bench files are only read.
+suite and only fail in `bench.py --trace 1`, so the names are checked here,
+and `bench/selftest.py` runs every kind of benchmark item once.  The bench
+files are only read; the selftest writes under the ignored `.bench_out/`
+and removes what it wrote.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,14 @@ def test_counting_caches_can_be_cleared():
 
     for fn in (counting.bell, counting.moebius_R):
         fn.cache_clear()
+
+
+def test_bench_selftest_passes():
+    """Every benchmark item still runs on the library and every oracle still
+    accepts the right answer and rejects a wrong one."""
+    root = TRACING.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("0 oracle(s) misbehaved")

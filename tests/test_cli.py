@@ -245,6 +245,20 @@ def test_identical_invocations_identical_output(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [["bell", "100000"], ["fold-count", "100000", "1"]])
+def test_unprintable_bell_fails_before_computing(argv, capsys, monkeypatch):
+    from shiftfold import counting
+
+    def refuse(k):
+        raise AssertionError(f"bell({k}) was computed")
+
+    monkeypatch.setattr(counting, "bell", refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_large_bell_fails_cleanly(capsys):
     code = main(["bell", "3000"])
     err = capsys.readouterr().err
