@@ -394,34 +394,32 @@ def is_isomorphic(a: Automaton, b: Automaton) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def reachable(start, successors, key, cap: int, what: str):
+    """Yield (key, element) breadth first from `start`, once per key in discovery order,
+    raising past `cap` keys (the start's included); `successors` runs on admission."""
+    seen = set()
+    batches = deque([(start,)])
+    while batches:
+        for element in batches.popleft():
+            k = key(element)
+            if k in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceededError(f"{what} cap exceeded")
+            seen.add(k)
+            yield k, element
+            batches.append(successors(element))
+
+
 def merge_search(start, target, size, merges, key, cap: int, what: str) -> bool:
     """Can `start` reach `target`'s key by merges, each one state smaller (BFS under a cap)?"""
-    start_size, goal_size = size(start), size(target)
-    if start_size < goal_size:
+    goal_size, goal = size(target), key(target)
+    if size(start) < goal_size:
         return False
-    goal = key(target)
-    first = key(start)
-    if start_size == goal_size:
-        return first == goal
-    seen = {first}
-    frontier = [start]
-    while frontier:
-        grown = []
-        for current in frontier:
-            for merged in merges(current):
-                k = key(merged)
-                if k in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise CapExceededError(f"{what} search cap exceeded")
-                seen.add(k)
-                if size(merged) == goal_size:
-                    if k == goal:
-                        return True
-                elif size(merged) > goal_size:
-                    grown.append(merged)
-        frontier = grown
-    return False
+    found = reachable(
+        start, lambda x: merges(x) if size(x) > goal_size else (), key, cap, f"{what} search"
+    )
+    return any(k == goal for k, _ in found)
 
 
 def _row_merges(a: Automaton):

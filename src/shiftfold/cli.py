@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import log10
+from math import exp, lgamma, log, log1p
 from pathlib import Path
 
 from . import counting
@@ -185,24 +185,26 @@ def cmd_decompose(args) -> int:
 
 def cmd_order(args) -> int:
     k = order(_load_transducer(args.file), cap_states=args.cap, cap_iters=args.cap)
-    if k is None:
-        sys.stdout.write("exceeds-cap\n")
-        return 3
-    _emit(f"{k}\n", args.output)
-    return 0
+    _emit("exceeds-cap\n" if k is None else f"{k}\n", args.output)
+    return 3 if k is None else 0
 
 
 def _bell(k: int) -> int:
-    """counting.bell(k), refused up front when its decimal form is too long to print.
+    """counting.bell(k), or one ValueError when its decimal form passes Python's digit limit.
 
-    B(k) >= j**(k-j) for every j in 1..k (put 1..j in separate blocks and the
-    rest anywhere), so one j with (k-j)*log10(j) above Python's int-to-str
-    digit limit proves the answer unprintable before any work is done.
+    B(k) >= S(k, j) >= (j**k - j*(j-1)**k)/j! for each j >= 2, and that bound
+    refuses most such k before the Bell triangle runs.
     """
     limit = sys.get_int_max_str_digits()
-    if limit and any((k - j) * log10(j) > limit for j in range(2, k)):
-        raise ValueError(f"bell {k} exceeds the limit ({limit} digits) for integer string conversion")
-    return counting.bell(k)
+    message = f"bell {k} exceeds the limit ({limit} digits) for integer string conversion"
+    for j in range(2, k if limit else 2):
+        missing = j * exp(k * log1p(-1 / j))  # j*(j-1)**k / j**k
+        if missing < 1 and k * log(j) + log1p(-missing) - lgamma(j + 1) > limit * log(10):
+            raise ValueError(message)
+    value = counting.bell(k)
+    if limit and value >= 10**limit:
+        raise ValueError(message)
+    return value
 
 
 def cmd_fold_count(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .automata import Automaton, CapExceededError, StatePartition, is_folding
+from .automata import Automaton, CapExceededError, StatePartition, is_folding, reachable
 
 EXHAUSTIVE_STATE_CAP = 12
 LATTICE_CAP = 200_000
@@ -150,9 +150,9 @@ def enumerate_foldings(
 ) -> list[StatePartition]:
     """All foldings of A, sorted by class table.
 
-    "exhaustive" filters every set partition of the states; "lattice" closes
-    the principal congruences under pairwise join.  Both include the discrete
-    partition.
+    "exhaustive" filters every set partition of the states; "lattice" joins each
+    folding found, breadth first from the discrete partition, with each principal
+    congruence, and counts every folding against `cap`.  Both include the discrete partition.
     """
     if method == "exhaustive":
         if a.state_count > EXHAUSTIVE_STATE_CAP:
@@ -162,26 +162,14 @@ def enumerate_foldings(
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
 
-    principals = []
-    seen = {StatePartition.discrete(a.state_count).class_of}
-    for p in range(a.state_count):
-        for q in range(p + 1, a.state_count):
-            closure = congruence_closure(a, [(p, q)])
-            if closure.class_of not in seen:
-                seen.add(closure.class_of)
-                principals.append(closure)
-    frontier = list(principals)
-    while frontier:
-        grown = []
-        for part in frontier:
-            for gen in principals:
-                joined = join_foldings(a, part, gen)
-                if joined.class_of not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError("folding lattice cap exceeded")
-                    seen.add(joined.class_of)
-                    grown.append(joined)
-        frontier = grown
-    return sorted(
-        (StatePartition.from_class_of(t) for t in seen), key=lambda p: p.class_of
+    m = a.state_count
+    closures = (congruence_closure(a, [(p, q)]) for p in range(m) for q in range(p + 1, m))
+    principals = list({c.class_of: c for c in closures}.values())
+    found = reachable(
+        StatePartition.discrete(m),
+        lambda part: (join_foldings(a, part, gen) for gen in principals),
+        lambda part: part.class_of,
+        cap,
+        "folding lattice",
     )
+    return [part for _, part in sorted(found)]

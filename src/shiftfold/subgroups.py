@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from .automata import (
     Automaton,
-    CapExceededError,
     StatePartition,
     all_words,
     de_bruijn,
     is_folding,
     parse_word,
     quotient,
+    reachable,
     require_sync_level,
     sync_level,
     sync_map,
@@ -114,7 +114,8 @@ class SubgroupClosure:
 
 
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
-    """Close a generating set under product and inverse; error past the cap."""
+    """The subgroup generated by `gens`: breadth first from the identity by right products
+    with each distinct generator and inverse, at most `cap` elements, by state count then key."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -125,31 +126,16 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
         if not is_in_hn(g):
             raise ValueError("generators must be invertible and bisynchronizing")
 
-    elements: dict[bytes, Transducer] = {}
-    work: list[Transducer] = []
-
-    def admit(t: Transducer) -> None:
-        rep = canonical_rep(t)
-        key = canonical_key(rep)
-        if key not in elements:
-            if len(elements) >= cap:
-                raise CapExceededError("subgroup closure cap exceeded")
-            elements[key] = rep
-            work.append(rep)
-
-    for t in [identity_transducer(n)] + list(gens):
-        admit(t)
-    while work:
-        t = work.pop()
-        candidates = [invert(t)]
-        for u in list(elements.values()):
-            candidates.append(product_min(t, u))
-            candidates.append(product_min(u, t))
-        for candidate in candidates:
-            admit(candidate)
-    ordered = tuple(
-        sorted(elements.values(), key=lambda t: (t.state_count, canonical_key(t)))
+    reps = (canonical_rep(s) for s in gens + tuple(invert(g) for g in gens))
+    steps = {canonical_key(r): r for r in reps}.values()
+    found = reachable(
+        canonical_rep(identity_transducer(n)),
+        lambda t: (canonical_rep(product_min(t, s)) for s in steps),
+        canonical_key,
+        cap,
+        "subgroup closure",
     )
+    ordered = tuple(t for _, t in sorted(found, key=lambda kt: (kt[1].state_count, kt[0])))
     level = max(sync_level(t.base) for t in ordered)
     return SubgroupClosure(ordered, gens, level)
 

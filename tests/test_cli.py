@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from shiftfold import de_bruijn, shift_transducer
@@ -11,6 +13,11 @@ from shiftfold.formats import (
     render_transducer,
 )
 from shiftfold.rules import shift_rule
+
+
+def bell_refusal(k: str) -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"error: bell {k} exceeds the limit ({limit} digits) for integer string conversion\n"
 
 
 def run(capsys, *argv):
@@ -239,13 +246,23 @@ def test_order_cap_exit_code(fig_file, capsys):
     assert code == 3 and out == "exceeds-cap\n"
 
 
+def test_order_cap_writes_to_output_file(fig_file, tmp_path, capsys):
+    target = tmp_path / "order.txt"
+    code, out = run(capsys, "order", fig_file, "--cap", "1", "-o", str(target))
+    assert code == 3 and out == ""
+    assert target.read_text() == "exceeds-cap\n"
+
+
 def test_identical_invocations_identical_output(capsys):
     _, first = run(capsys, "fold-enum", "2", "3")
     _, second = run(capsys, "fold-enum", "2", "3")
     assert first == second
 
 
-@pytest.mark.parametrize("argv", [["bell", "100000"], ["fold-count", "100000", "1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["bell", "100000"], ["fold-count", "100000", "1"], ["bell", "2000"], ["fold-count", "2000", "1"]],
+)
 def test_unprintable_bell_fails_before_computing(argv, capsys, monkeypatch):
     from shiftfold import counting
 
@@ -256,7 +273,15 @@ def test_unprintable_bell_fails_before_computing(argv, capsys, monkeypatch):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.err == bell_refusal(argv[1])
+
+
+def test_first_unprintable_bell_fails_with_the_refusal_text(capsys):
+    """B(1981) is the first Bell number past 4,300 digits; the up-front bound misses it."""
+    code = main(["bell", "1981"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == bell_refusal("1981")
 
 
 def test_large_bell_fails_cleanly(capsys):

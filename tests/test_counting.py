@@ -173,3 +173,11 @@ def test_exhaustive_cap():
 def test_unknown_method():
     with pytest.raises(ValueError):
         enumerate_foldings(de_bruijn(2, 2), method="magic")
+
+
+@pytest.mark.parametrize("n, m, count", [(2, 1, 2), (2, 3, 30)])
+def test_lattice_cap_counts_every_folding(n, m, count):
+    g = de_bruijn(n, m)
+    assert len(enumerate_foldings(g, cap=count)) == count
+    with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
+        enumerate_foldings(g, cap=count - 1)

@@ -1,16 +1,23 @@
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
 from shiftfold import (
     CapExceededError,
+    canonical_key,
+    canonical_rep,
+    de_bruijn,
     dual_read,
     enumerate_automorphisms,
     equal_omega,
+    identity_automorphism,
     identity_transducer,
+    invert,
     is_isomorphic,
     minimal_rep,
     product_min,
+    quotient,
     shift_transducer,
     single_state,
     subgroup_automaton,
@@ -19,6 +26,9 @@ from shiftfold import (
     w_word,
 )
 from shiftfold.digraph_aut import compose_automorphisms
+from shiftfold.formats import parse_transducer
+
+H3_INFINITE = Path(__file__).resolve().parent / "golden" / "inputs" / "h3_infinite.txt"
 
 
 def test_dual_read_identity():
@@ -108,6 +118,57 @@ def test_subgroup_closure_cap(fig_automaton):
     ]
     with pytest.raises(CapExceededError):
         subgroup_closure(gens, cap=2)
+
+
+def two_sided_closure_keys(gens) -> set[bytes]:
+    """Reference closure: every element times every element on both sides, plus inverses."""
+    elements: dict[bytes, object] = {}
+    work = []
+
+    def admit(t) -> None:
+        rep = canonical_rep(t)
+        key = canonical_key(rep)
+        if key not in elements:
+            elements[key] = rep
+            work.append(rep)
+
+    for t in [identity_transducer(gens[0].alphabet_size)] + list(gens):
+        admit(t)
+    while work:
+        t = work.pop()
+        admit(invert(t))
+        for u in list(elements.values()):
+            admit(product_min(t, u))
+            admit(product_min(u, t))
+    return set(elements)
+
+
+def test_subgroup_closure_matches_two_sided_reference(foldings_32):
+    """One and two automorphism generators on every G(3,2) folding with a nontrivial one."""
+    g = de_bruijn(3, 2)
+    cases = []
+    for part in foldings_32:
+        a = quotient(g, part)
+        gens = [
+            transducer_from_automorphism(a, phi)
+            for phi in enumerate_automorphisms(a)
+            if phi != identity_automorphism(a)
+        ]
+        if gens:
+            cases.append(gens[:1])
+        if len(gens) >= 2:
+            cases.append([gens[0], gens[-1]])
+    assert {len(c) for c in cases} == {1, 2}
+    for gens in cases:
+        keys = [canonical_key(t) for t in subgroup_closure(gens).elements]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == two_sided_closure_keys(gens)
+
+
+def test_subgroup_closure_cap_on_infinite_element():
+    h = parse_transducer(H3_INFINITE.read_text())
+    with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
+        subgroup_closure([h], cap=10)
 
 
 def test_subgroup_automaton_trivial():
