@@ -279,6 +279,20 @@ def sync_map(a: Automaton, w) -> int:
     return targets.pop()
 
 
+def forced_states(a: Automaton, level: int | None = None) -> list[int]:
+    """The state forced by each word of length `level` (default: the sync level), in
+    lexicographic word order; run from state 0, as any start forces the same state."""
+    k = require_sync_level(a)
+    if level is None:
+        level = k
+    elif level < k:
+        raise ValueError(f"automaton only synchronizes at level {k}, not {level}")
+    table = [0]
+    for _ in range(level):
+        table = [t for q in table for t in a.delta[q]]
+    return table
+
+
 def core_states(a: Automaton) -> list[int]:
     require_sync_level(a)
     return list(a._core)
@@ -303,19 +317,12 @@ def is_core(a: Automaton) -> bool:
 def folding_from_sync(a: Automaton, level: int | None = None) -> StatePartition:
     """The folding of G(n, level) whose quotient is A.
 
-    Words are equivalent when they force the same state.  `level` defaults to
-    the minimal synchronizing level and may be any level A synchronizes at.
+    Words are equivalent when they force the same state, read off the
+    `forced_states` table.  `level` defaults to the minimal synchronizing level
+    and may be any level A synchronizes at.
     """
-    k = require_sync_level(a, core=True)
-    if level is None:
-        level = k
-    elif level < k:
-        raise ValueError(f"automaton only synchronizes at level {k}, not {level}")
-    n = a.alphabet_size
-    labels = []
-    for w in all_words(n, level):
-        labels.append(a.run(w, 0))
-    return StatePartition.from_class_of(labels)
+    require_sync_level(a, core=True)
+    return StatePartition.from_class_of(forced_states(a, level))
 
 
 def _pack(values) -> bytes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .automata import Automaton, CapExceededError, all_words, is_core, sync_level, sync_map
+from .automata import Automaton, CapExceededError, forced_states, is_core, sync_level
 from .transducers import (
     Transducer,
     equal_omega,
@@ -203,25 +203,21 @@ def automorphism_from_alphabet_perm(a: Automaton, rho) -> DigraphAutomorphism | 
 
     Requires A core and strongly synchronizing, so states correspond to the
     classes of level-k words forcing them.  Present iff rho permutes those
-    classes.
+    classes: the `forced_states` tables of A and of A with its letters renamed
+    by rho pair each state with exactly one image.
     """
     rho = tuple(rho)
     n = a.alphabet_size
     if sorted(rho) != list(range(n)):
         raise ValueError("not a permutation of the alphabet")
-    k = sync_level(a)
-    if k is None or not is_core(a):
+    if sync_level(a) is None or not is_core(a):
         raise ValueError("automaton must be core and strongly synchronizing")
-    vertex = [-1] * a.state_count
-    for w in all_words(n, k):
-        q = sync_map(a, w)
-        image = sync_map(a, tuple(rho[c] for c in w))
-        if vertex[q] == -1:
-            vertex[q] = image
-        elif vertex[q] != image:
-            return None
-    edges = tuple(tuple(rho[x] for x in range(n)) for _ in range(a.state_count))
-    phi = DigraphAutomorphism(tuple(vertex), edges)
+    renamed = Automaton(n, tuple(tuple(row[y] for y in rho) for row in a.delta))
+    pairs = sorted(set(zip(forced_states(a), forced_states(renamed))))
+    if len(pairs) != a.state_count:
+        return None
+    edges = tuple(rho for _ in range(a.state_count))
+    phi = DigraphAutomorphism(tuple(image for _, image in pairs), edges)
     check_automorphism(a, phi)
     return phi
 

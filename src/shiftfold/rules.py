@@ -15,9 +15,9 @@ from .automata import (
     Word,
     all_words,
     de_bruijn,
+    forced_states,
     parse_word,
     require_sync_level,
-    sync_map,
     word_rank,
 )
 from .transducers import Transducer
@@ -133,11 +133,8 @@ def rule_to_transducer(f: LocalRule) -> Transducer:
 
 
 def transducer_to_rule(t: Transducer) -> LocalRule:
-    """Window-(k+1) rule recovering the machine's sliding action (k its sync level)."""
+    """Window-(k+1) rule recovering the machine's sliding action (k its sync level):
+    the outputs of each state in the `forced_states` table, concatenated."""
     k = require_sync_level(t.base, "transducer", core=True)
-    n = t.alphabet_size
-    table = []
-    for w in all_words(n, k):
-        q = sync_map(t.base, w)
-        table.extend(t.output[q])
-    return LocalRule(n, k + 1, tuple(table))
+    table = tuple(y for q in forced_states(t.base) for y in t.output[q])
+    return LocalRule(t.alphabet_size, k + 1, table)

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 from .automata import (
     Automaton,
+    CapExceededError,
     StatePartition,
     all_words,
     de_bruijn,
+    forced_states,
     is_folding,
     parse_word,
     quotient,
@@ -39,6 +41,7 @@ from .transducers import (
     identity_transducer,
     invert,
     is_in_hn,
+    order,
     product_min,
 )
 
@@ -115,7 +118,8 @@ class SubgroupClosure:
 
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     """The subgroup generated by `gens`: breadth first from the identity by right products
-    with each distinct generator and inverse, at most `cap` elements, by state count then key."""
+    with each distinct generator and inverse, at most `cap` elements, by state count then key;
+    a generator whose `order` passes `cap` (or its state cap) trips the cap before the search."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -125,6 +129,8 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
             raise ValueError("generators must share one alphabet")
         if not is_in_hn(g):
             raise ValueError("generators must be invertible and bisynchronizing")
+    if any(order(g, cap_iters=cap) is None for g in gens):
+        raise CapExceededError("subgroup closure cap exceeded")
 
     reps = (canonical_rep(s) for s in gens + tuple(invert(g) for g in gens))
     steps = {canonical_key(r): r for r in reps}.values()
@@ -146,7 +152,8 @@ def subgroup_automaton(
     """The automaton A(G) plus the automorphism realizing each element.
 
     Transitions read a letter by dropping the oldest letter of the class
-    words; well-definedness is asserted (never silently patched), as is exact
+    words; edge maps read each element's level-k `forced_states` table.
+    Well-definedness is asserted (never silently patched), as is exact
     recovery of every element from its automorphism.
     """
     n = g.elements[0].alphabet_size
@@ -167,8 +174,7 @@ def subgroup_automaton(
     for h in g.elements:
         vertex = [-1] * part.class_count
         edges = [[-1] * n for _ in range(part.class_count)]
-        for w in words:
-            c = part.class_of[word_rank(w, n)]
+        for c, w, forced in zip(part.class_of, words, forced_states(h.base, k)):
             for p in range(h.state_count):
                 _, image = h.run(w, p)
                 img_class = part.class_of[word_rank(image, n)]
@@ -176,7 +182,6 @@ def subgroup_automaton(
                     vertex[c] = img_class
                 elif vertex[c] != img_class:
                     raise AssertionError("vertex map is not well defined")
-            forced = sync_map(h.base, w)
             for x in range(n):
                 y = h.output[forced][x]
                 if edges[c][x] == -1:

@@ -117,16 +117,15 @@ def core(t: Transducer) -> Transducer:
 def minimize_partition(t: Transducer) -> StatePartition:
     """Group states that output the same word on every input (Moore refinement)."""
     n = t.alphabet_size
-    labels = list(t.output)
+    part = StatePartition.from_class_of(t.output)
     while True:
-        part = StatePartition.from_class_of(labels)
-        refined = [
+        refined = StatePartition.from_class_of(
             (part.class_of[q],) + tuple(part.class_of[t.base.delta[q][x]] for x in range(n))
             for q in range(t.state_count)
-        ]
-        if StatePartition.from_class_of(refined).class_count == part.class_count:
+        )
+        if refined.class_count == part.class_count:
             return part
-        labels = refined
+        part = refined
 
 
 def weak_minimize(t: Transducer) -> Transducer:

@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +293,19 @@ def test_large_bell_fails_cleanly(capsys):
     assert code in (2, 3)
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_subgroup_ag_refuses_an_infinite_order_generator():
+    """At the default cap the closure of an infinite-order element would run for
+    minutes before tripping the cap; the generator's order check refuses it first."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", "subgroup-ag", "tests/golden/inputs/h3_infinite.txt"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: subgroup closure cap exceeded\n"

@@ -80,6 +80,37 @@ def test_alphabet_perm_on_de_bruijn():
     assert automorphism_from_alphabet_perm(g, (0, 1, 2)).is_identity()
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_swap_on_binary_de_bruijn_complements_every_word(m):
+    """On G(2, m) the letter swap sends the state of word w to the state of its
+    complement w XOR (2^m - 1), and relabels every edge by the swap."""
+    phi = automorphism_from_alphabet_perm(de_bruijn(2, m), (1, 0))
+    assert phi.vertex_perm == tuple(w ^ (2**m - 1) for w in range(2**m))
+    assert phi.edge_letters == ((1, 0),) * 2**m
+
+
+def test_alphabet_perm_matches_word_by_word_reference(quotients_22, quotients_23, quotients_32):
+    """Against the word-by-word definition: rho acts when every level-k word and
+    its rho-image force states that pair up into a map, which is the vertex map."""
+    from itertools import permutations
+
+    from shiftfold.automata import all_words, sync_map
+
+    for a in quotients_22 + quotients_23 + quotients_32:
+        n, k = a.alphabet_size, sync_level(a)
+        for rho in permutations(range(n)):
+            pairs = {
+                (sync_map(a, w), sync_map(a, [rho[c] for c in w])) for w in all_words(n, k)
+            }
+            vertex = dict(pairs)
+            expected = tuple(vertex[q] for q in range(a.state_count))
+            phi = automorphism_from_alphabet_perm(a, rho)
+            if len(vertex) < len(pairs):
+                assert phi is None
+            else:
+                assert phi.vertex_perm == expected
+
+
 def test_alphabet_perm_absent_on_fig(fig_automaton):
     # the vertex swap q0<->q2 is not induced by any alphabet permutation:
     # rho = (0<->2) maps class {00,21,10} onto {22,01,12}, not a class

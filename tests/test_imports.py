@@ -1,6 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private function or constant is used somewhere in the package.
 
-`__init__.py` is left out: its imports are the package's public names.
+`__init__.py` is left out of the import check: its imports are the package's
+public names.  A private name counts as used only when some statement other
+than its own definition reads it, so a helper that only calls itself is dead.
 """
 
 import ast
@@ -8,10 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "src" / "shiftfold").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "shiftfold").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +37,47 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from .automata import CapExceededError, quotient\nimport os.path\nquotient()\n"
     assert unused_imports(source) == ["line 1: CapExceededError", "line 2: os"]
+
+
+def defined_names(node) -> list[str]:
+    """Names a module-level statement binds as a function or constant."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    private = {}
+    read = set()
+    for filename, source in sources.items():
+        for node in ast.parse(source).body:
+            own = defined_names(node)
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    private[name] = f"{filename} line {node.lineno}: {name}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    found = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    found = sub.attr
+                else:
+                    continue
+                if found not in own:
+                    read.add(found)
+    return [where for name, where in private.items() if name not in read]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_dead_private_name_is_reported():
+    sources = {
+        "a.py": "def _dead(x):\n    return _dead(x)\n_LIMIT = 3\n_SPARE: int = 4\n",
+        "b.py": "from .a import _LIMIT\n\ndef f():\n    return _LIMIT\n",
+    }
+    assert dead_private_names(sources) == ["a.py line 1: _dead", "a.py line 4: _SPARE"]

@@ -13,16 +13,18 @@ fields alone.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftfold import automata, congruence_closure
 from shiftfold.automata import (
+    all_words,
     Automaton,
     StatePartition,
     core_of,
     core_states,
     de_bruijn,
+    forced_states,
     is_core,
     quotient,
     require_sync_level,
@@ -134,6 +136,34 @@ def test_sync_map_is_the_image_of_every_state(a, data):
             sync_map(a, w)
         return
     assert {sync_map(a, w)} == {a.run(w, q) for q in range(a.state_count)}
+
+
+@SETTINGS
+@given(st.one_of(renamed_quotients(), random_tables()))
+def test_forced_states_lists_sync_map_in_word_order(a):
+    k = sync_level(a)
+    assume(k is not None and a.alphabet_size ** (k + 2) <= 4096)
+    for level in range(k, k + 3):
+        table = forced_states(a, level)
+        assert len(table) == a.alphabet_size**level
+        assert table == [sync_map(a, w) for w in all_words(a.alphabet_size, level)]
+    assert forced_states(a) == forced_states(a, k)
+    assert set(forced_states(a)) == set(core_states(a))
+
+
+@SETTINGS
+@given(st.one_of(renamed_quotients(), random_tables()), st.data())
+def test_forced_states_rejects_what_cannot_force(a, data):
+    k = sync_level(a)
+    if k is None:
+        with pytest.raises(ValueError, match="^automaton is not strongly synchronizing$"):
+            forced_states(a)
+        return
+    assume(k > 0)
+    level = data.draw(st.integers(0, k - 1))
+    message = f"^automaton only synchronizes at level {k}, not {level}$"
+    with pytest.raises(ValueError, match=message):
+        forced_states(a, level)
 
 
 def test_analysis_runs_once_per_automaton(monkeypatch):
