@@ -71,9 +71,6 @@ class Automaton:
     def state_count(self) -> int:
         return len(self.delta)
 
-    def step(self, state: int, letter: int) -> int:
-        return self.delta[state][letter]
-
     def run(self, word, state: int) -> int:
         """Final state after reading `word` from `state`."""
         for c in parse_word(word, self.alphabet_size):
@@ -325,69 +322,41 @@ def folding_from_sync(a: Automaton, level: int | None = None) -> StatePartition:
     return StatePartition.from_class_of(forced_states(a, level))
 
 
-def _pack(values) -> bytes:
-    return b"".join(v.to_bytes(2, "big") for v in values)
-
-
-def bfs_order(delta, n: int, root: int) -> list[int] | None:
-    """BFS renumbering old -> new from `root` reading letters 0..n-1.
-
-    Returns None when some state is unreachable from the root.
-    """
-    m = len(delta)
-    order = [-1] * m
-    order[root] = 0
-    queue = deque([root])
-    count = 1
-    while queue:
-        q = queue.popleft()
-        for x in range(n):
-            t = delta[q][x]
-            if order[t] == -1:
-                order[t] = count
-                count += 1
-                queue.append(t)
-    if count != m:
-        return None
-    return order
-
-
-def inverse_order(order: list[int]) -> list[int]:
-    """The new -> old inverse of an old -> new renumbering."""
-    old_of = [0] * len(order)
-    for old, new in enumerate(order):
-        old_of[new] = old
-    return old_of
-
-
 def least_encoding(delta, output=None) -> tuple[bytes, list[int]]:
-    """Least BFS encoding over all root choices, and the order producing it.
+    """Least BFS encoding over all root choices, and the old -> new order producing it.
 
-    Each state, in BFS order, contributes its renamed transition row followed
-    by its output row when `output` is given.  Ties keep the least root.
-    Requires every state to be reachable from at least one single state
-    (true for any core strongly synchronizing automaton).
+    From each root, a breadth-first search reading letters 0..n-1 numbers the
+    states in visit order.  The encoding is the list n, m followed, state by
+    state in that order, by its renamed transition row and then its output row
+    when `output` is given.  Roots that miss some state are skipped; ties keep
+    the least root.  Requires every state to be reachable from at least one
+    single state (true for any core strongly synchronizing automaton).
+
+    Only the least list is packed, each value as 4 bytes big-endian.  Fixed-width
+    big-endian bytes compare exactly like the lists they pack, a proper prefix
+    first, so byte order is list order; `subgroup_closure` orders elements by it.
     """
     m = len(delta)
-    if m >= 1 << 16:
-        raise CapExceededError("canonical encodings support fewer than 65536 states")
     n = len(delta[0])
     best = best_order = None
     for root in range(m):
-        order = bfs_order(delta, n, root)
-        if order is None:
-            continue
+        order = [-1] * m
+        order[root] = 0
+        visit = [root]
         flat = [n, m]
-        for old in inverse_order(order):
-            flat.extend([order[t] for t in delta[old]])
+        for q in visit:
+            for t in delta[q]:
+                if order[t] == -1:
+                    order[t] = len(visit)
+                    visit.append(t)
+                flat.append(order[t])
             if output is not None:
-                flat.extend(output[old])
-        enc = _pack(flat)
-        if best is None or enc < best:
-            best, best_order = enc, order
+                flat.extend(output[q])
+        if len(visit) == m and (best is None or flat < best):
+            best, best_order = flat, order
     if best is None:
         raise ValueError("no state reaches the whole machine; cannot canonicalize")
-    return best, best_order
+    return b"".join(v.to_bytes(4, "big") for v in best), best_order
 
 
 def canonical_form(a: Automaton) -> bytes:

@@ -49,14 +49,6 @@ def set_partitions(k: int):
     yield from descend(1, 0)
 
 
-def blocks_of(rgs) -> list[list[int]]:
-    count = max(rgs) + 1 if rgs else 0
-    out: list[list[int]] = [[] for _ in range(count)]
-    for i, c in enumerate(rgs):
-        out[c].append(i)
-    return out
-
-
 def _integer_partitions(t: int):
     """Partitions of the integer t as non-increasing tuples."""
     if t == 0:
@@ -98,7 +90,9 @@ def moebius_R(s: int, t: int) -> int:
 
 def count_foldings_g_n_2(n: int) -> int:
     """Exact number of foldings of the word-length-2 de Bruijn graph over X_n."""
-    if not 1 <= n <= 12:
+    if n < 1:
+        raise ValueError("alphabet size must be at least 1")
+    if n > 12:
         raise CapExceededError("closed-form folding count capped at alphabet size 12")
     total = 0
     for parts in _integer_partitions(n):

@@ -119,7 +119,9 @@ class SubgroupClosure:
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     """The subgroup generated by `gens`: breadth first from the identity by right products
     with each distinct generator and inverse, at most `cap` elements, by state count then key;
-    a generator whose `order` passes `cap` (or its state cap) trips the cap before the search."""
+    a generator whose `order` passes `cap` (or its state cap) trips the cap before the search.
+    Elements are told apart by their canonical representatives, which are identical exactly
+    when the elements are equal, so only the admitted elements are keyed."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -132,16 +134,16 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     if any(order(g, cap_iters=cap) is None for g in gens):
         raise CapExceededError("subgroup closure cap exceeded")
 
-    reps = (canonical_rep(s) for s in gens + tuple(invert(g) for g in gens))
-    steps = {canonical_key(r): r for r in reps}.values()
+    steps = dict.fromkeys(canonical_rep(s) for s in gens + tuple(invert(g) for g in gens))
     found = reachable(
         canonical_rep(identity_transducer(n)),
         lambda t: (canonical_rep(product_min(t, s)) for s in steps),
-        canonical_key,
+        lambda t: t,
         cap,
         "subgroup closure",
     )
-    ordered = tuple(t for _, t in sorted(found, key=lambda kt: (kt[1].state_count, kt[0])))
+    elements = [t for _, t in found]
+    ordered = tuple(sorted(elements, key=lambda t: (t.state_count, canonical_key(t))))
     level = max(sync_level(t.base) for t in ordered)
     return SubgroupClosure(ordered, gens, level)
 

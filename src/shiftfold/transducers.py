@@ -17,7 +17,6 @@ from .automata import (
     StatePartition,
     Word,
     core_of,
-    inverse_order,
     is_core,
     least_encoding,
     parse_word,
@@ -52,9 +51,6 @@ class Transducer:
     @property
     def state_count(self) -> int:
         return self.base.state_count
-
-    def emit(self, state: int, letter: int) -> int:
-        return self.output[state][letter]
 
     def run(self, word, state: int) -> tuple[int, Word]:
         """Final state and output word after reading `word` from `state`."""
@@ -189,7 +185,12 @@ def is_in_hn(t: Transducer) -> bool:
 
 
 def canonical_key(t: Transducer) -> bytes:
-    """Renaming-invariant encoding of the machine including its outputs."""
+    """Renaming-invariant encoding of the machine including its outputs.
+
+    `least_encoding` packs each value as 4 bytes big-endian, so keys compare
+    as bytes exactly as their value lists do; `subgroup_closure` relies on
+    that order to list elements by (state count, key).
+    """
     return b"T" + least_encoding(t.base.delta, t.output)[0]
 
 
@@ -201,7 +202,7 @@ def canonical_rep(t: Transducer) -> Transducer:
     """
     reduced = minimal_rep(t)
     _, order = least_encoding(reduced.base.delta, reduced.output)
-    old_of = inverse_order(order)
+    old_of = sorted(range(len(order)), key=order.__getitem__)
     delta = tuple(tuple(order[t] for t in reduced.base.delta[old]) for old in old_of)
     output = tuple(reduced.output[old] for old in old_of)
     return Transducer(Automaton(reduced.alphabet_size, delta), output)

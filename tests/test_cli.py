@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftfold import de_bruijn, shift_transducer
+from shiftfold import de_bruijn, shift_transducer, single_state
 from shiftfold.cli import main
 from shiftfold.formats import (
     parse_automaton,
@@ -309,3 +309,21 @@ def test_subgroup_ag_refuses_an_infinite_order_generator():
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: subgroup closure cap exceeded\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_fold_count_rejects_a_non_positive_alphabet(n, capsys):
+    code = main(["fold-count", n, "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: alphabet size must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "subgroup-ag"])
+def test_canonical_keys_hold_letters_past_two_bytes(command, tmp_path, capsys):
+    """A one-state letter swap over 65,536 letters: its key's values pass 2 bytes."""
+    path = tmp_path / "swap.txt"
+    path.write_text(render_transducer(single_state([1, 0, *range(2, 65_536)])))
+    code = main([command, str(path), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 0 and err == ""

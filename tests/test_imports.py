@@ -1,9 +1,13 @@
-"""Every name a library module imports is used in that module, and every
-module-level private function or constant is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+module-level private function or constant is used somewhere in the package,
+and every method or property of a library class is read somewhere.
 
 `__init__.py` is left out of the import check: its imports are the package's
 public names.  A private name counts as used only when some statement other
 than its own definition reads it, so a helper that only calls itself is dead.
+A method or property counts as read when some attribute outside its own body
+bears its name, in the package, the tests or the benchmark; dunder methods are
+called by Python itself and are left out.
 """
 
 import ast
@@ -11,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "shiftfold").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "shiftfold").glob("*.py"))
+READERS = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
@@ -81,3 +87,62 @@ def test_dead_private_name_is_reported():
         "b.py": "from .a import _LIMIT\n\ndef f():\n    return _LIMIT\n",
     }
     assert dead_private_names(sources) == ["a.py line 1: _dead", "a.py line 4: _SPARE"]
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+class AttributeReads(ast.NodeVisitor):
+    """Attribute names read anywhere except inside a function of the same name."""
+
+    def __init__(self):
+        self.read = set()
+        self.inside = []
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.inside:
+            self.read.add(node.attr)
+        self.generic_visit(node)
+
+
+def unread_methods(library: dict[str, str], readers: dict[str, str]) -> list[str]:
+    methods = {}
+    reads = AttributeReads()
+    for filename, source in library.items():
+        tree = ast.parse(source)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not is_dunder(node.name):
+                        where = f"{filename} line {node.lineno}: {cls.name}.{node.name}"
+                        methods.setdefault(node.name, where)
+        reads.visit(tree)
+    for source in readers.values():
+        reads.visit(ast.parse(source))
+    return [where for name, where in methods.items() if name not in reads.read]
+
+
+def test_no_unread_methods():
+    library = {p.name: p.read_text() for p in PACKAGE}
+    readers = {str(p): p.read_text() for p in READERS}
+    assert unread_methods(library, readers) == []
+
+
+def test_unread_method_is_reported():
+    library = {
+        "a.py": (
+            "class A:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    @property\n    def size(self):\n        return self.size\n"
+            "    def used(self):\n        return 1\n"
+            "    def spare(self):\n        return self.used()\n"
+        ),
+    }
+    readers = {"test_a.py": "from a import A\n\ndef test_a():\n    assert A().used() == 1\n"}
+    assert unread_methods(library, readers) == ["a.py line 5: A.size", "a.py line 9: A.spare"]
