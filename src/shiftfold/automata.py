@@ -87,11 +87,24 @@ class Automaton:
 
     @cached_property
     def _core(self) -> tuple[int, ...]:
-        """Sorted states forced by words of length sync level (which must exist)."""
-        reach = set(range(self.state_count))
+        """Sorted states forced by words of length sync level (which must exist).
+
+        Reading 0^k from state 0 forces a state, and the states reachable from
+        a forced state are exactly the forced ones: reading v from the state
+        forced by w gives the state forced by wv, which its last k letters force.
+        """
+        delta = self.delta
+        q = 0
         for _ in range(self._sync_level):
-            reach = {t for q in reach for t in self.delta[q]}
-        return tuple(sorted(reach))
+            q = delta[q][0]
+        seen = {q}
+        visit = [q]
+        for q in visit:
+            for t in delta[q]:
+                if t not in seen:
+                    seen.add(t)
+                    visit.append(t)
+        return tuple(sorted(seen))
 
 
 def de_bruijn(n: int, m: int) -> Automaton:
@@ -223,7 +236,7 @@ def _merge_terms(delta):
         merged = [label.setdefault(row, len(label)) for row in delta]
         if len(label) == len(delta):
             return
-        delta = tuple(tuple(merged[t] for t in row) for row in label)
+        delta = tuple(tuple(map(merged.__getitem__, row)) for row in label)
         class_of = [merged[c] for c in class_of]
 
 

@@ -1,7 +1,9 @@
 """Synchronous transducers (Mealy machines emitting one letter per letter read).
 
-The monoid operation is `product_min`: raw product, core extraction, then
-identification of states that behave identically on all inputs.  Machine
+The monoid operation is `product_min`: the core of the state product, built
+directly from a forced pair of states, then identification of states that
+behave identically on all inputs.  `product_raw` builds the whole state
+product and is the reference that `product_min` must agree with.  Machine
 equality throughout is "canonical key of the weakly minimal core
 representative", which makes the usual convention of not distinguishing
 behaviourally equal machines executable.
@@ -111,17 +113,25 @@ def core(t: Transducer) -> Transducer:
 
 
 def minimize_partition(t: Transducer) -> StatePartition:
-    """Group states that output the same word on every input (Moore refinement)."""
-    n = t.alphabet_size
-    part = StatePartition.from_class_of(t.output)
+    """Group states that output the same word on every input (Moore refinement).
+
+    Each round labels every state by its class and its successors' classes,
+    numbered by first occurrence, so the classes stay normalized; the rounds
+    stop when a round splits no class.
+    """
+    label: dict = {}
+    cls = [label.setdefault(row, len(label)) for row in t.output]
+    count = len(label)
     while True:
-        refined = StatePartition.from_class_of(
-            (part.class_of[q],) + tuple(part.class_of[t.base.delta[q][x]] for x in range(n))
-            for q in range(t.state_count)
-        )
-        if refined.class_count == part.class_count:
-            return part
-        part = refined
+        label = {}
+        get = cls.__getitem__
+        refined = [
+            label.setdefault((c, *map(get, row)), len(label))
+            for c, row in zip(cls, t.base.delta)
+        ]
+        if len(label) == count:
+            return StatePartition(tuple(cls), count)
+        cls, count = refined, len(label)
 
 
 def weak_minimize(t: Transducer) -> Transducer:
@@ -134,15 +144,49 @@ def weak_minimize(t: Transducer) -> Transducer:
 
 
 def minimal_rep(t: Transducer) -> Transducer:
-    """The weakly minimal core representative (requires strong synchronization)."""
-    return weak_minimize(core(t))
+    """The weakly minimal core representative (requires strong synchronization).
+
+    A core machine is its own core, so it is minimized without a copy.
+    """
+    return weak_minimize(t if is_core(t.base) else core(t))
 
 
 def product_min(t: Transducer, u: Transducer) -> Transducer:
-    """The monoid product: raw product, reduced to its minimal core representative."""
-    if sync_level(t.base) is None or sync_level(u.base) is None:
+    """The monoid product: the core of `product_raw(t, u)`, weakly minimized.
+
+    Only the core is built.  The product synchronizes within the sum of its
+    factors' levels, so reading that many zeros from the pair (0, 0) reaches
+    a forced pair, and the pairs reachable from it are exactly the core.
+    Pair (p, q) keeps its raw index p * |U| + q and the visited indices are
+    sorted, so the core is numbered as `core(product_raw(t, u))` numbers it.
+    """
+    kt, ku = sync_level(t.base), sync_level(u.base)
+    if kt is None or ku is None:
         raise ValueError("product_min operands must be strongly synchronizing")
-    return minimal_rep(product_raw(t, u))
+    if t.alphabet_size != u.alphabet_size:
+        raise ValueError("alphabet sizes differ")
+    mu = u.state_count
+    t_delta, t_out, u_delta, u_out = t.base.delta, t.output, u.base.delta, u.output
+    p = q = 0
+    for _ in range(kt + ku):
+        p, q = t_delta[p][0], u_delta[q][t_out[p][0]]
+    start = p * mu + q
+    rows = {start: None}
+    visit = [start]
+    for s in visit:
+        p, q = divmod(s, mu)
+        u_row = u_delta[q]
+        row = tuple([r * mu + u_row[y] for r, y in zip(t_delta[p], t_out[p])])
+        rows[s] = row
+        for r in row:
+            if r not in rows:
+                rows[r] = None
+                visit.append(r)
+    kept = sorted(rows)
+    index = {s: i for i, s in enumerate(kept)}
+    delta = tuple(tuple(map(index.__getitem__, rows[s])) for s in kept)
+    output = tuple(tuple(map(u_out[s % mu].__getitem__, t_out[s // mu])) for s in kept)
+    return weak_minimize(Transducer(Automaton(t.alphabet_size, delta), output))
 
 
 def is_invertible(t: Transducer) -> bool:
