@@ -113,9 +113,12 @@ def de_bruijn(n: int, m: int) -> Automaton:
         raise ValueError("alphabet size must be at least 2")
     if m < 1:
         raise ValueError("word length must be at least 1")
+    # n**(m+1) transitions; 2**(m+1) alone passes the cap once m reaches its bit length
+    if m >= STATE_CAP.bit_length() or n ** (m + 1) > STATE_CAP:
+        raise CapExceededError(
+            f"de Bruijn graph G({n}, {m}) would have more than {STATE_CAP} transitions"
+        )
     size = n**m
-    if size > STATE_CAP:
-        raise CapExceededError(f"de Bruijn graph would have {size} states (cap {STATE_CAP})")
     tail = n ** (m - 1)
     delta = tuple(tuple((s % tail) * n + x for x in range(n)) for s in range(size))
     return Automaton(n, delta)

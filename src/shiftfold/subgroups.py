@@ -97,8 +97,6 @@ def w_word(h: Transducer, gamma) -> tuple[int, ...]:
             break
         seen[nxt] = len(sets)
         sets.append(nxt)
-    while len(forced) < pre + 2 * cycle:
-        forced.append(forced_state(sets[pre + (len(forced) - pre) % cycle]))
     for i in range(pre):
         if forced[i] != forced[i + cycle]:
             raise ChoiceDependenceError("forced-state sequence is not purely periodic")

@@ -16,13 +16,11 @@ from math import ceil
 
 from .automata import (
     Automaton,
-    StatePartition,
     Word,
     core_of,
     is_core,
     least_encoding,
     parse_word,
-    quotient,
     require_sync_level,
     sync_level,
 )
@@ -112,12 +110,17 @@ def core(t: Transducer) -> Transducer:
     return Transducer(base, tuple(t.output[q] for q in kept))
 
 
-def minimize_partition(t: Transducer) -> StatePartition:
-    """Group states that output the same word on every input (Moore refinement).
+def weak_minimize(t: Transducer) -> Transducer:
+    """Merge states that output the same word on every input (Moore refinement).
 
-    Each round labels every state by its class and its successors' classes,
-    numbered by first occurrence, so the classes stay normalized; the rounds
-    stop when a round splits no class.
+    Round 1 labels each state by its output row; each later round labels it by
+    its class and its successors' classes, numbered by first occurrence.  The
+    rounds stop at the first one that splits no class, and that round is the
+    merged machine: each class then has exactly one label, so every state of
+    class c has the same successor classes (the classes form a folding), and
+    the labels arrive in class order 0, 1, ..., so label c with its class
+    dropped is row c of the merged transition table.  States of one class
+    share their output row, which the first round grouped them by.
     """
     label: dict = {}
     cls = [label.setdefault(row, len(label)) for row in t.output]
@@ -130,17 +133,11 @@ def minimize_partition(t: Transducer) -> StatePartition:
             for c, row in zip(cls, t.base.delta)
         ]
         if len(label) == count:
-            return StatePartition(tuple(cls), count)
+            break
         cls, count = refined, len(label)
-
-
-def weak_minimize(t: Transducer) -> Transducer:
-    """Merge states that output the same word on every input."""
-    part = minimize_partition(t)
-    rep = part.representatives()
-    base = quotient(t.base, part)
-    output = tuple(t.output[rep[c]] for c in range(part.class_count))
-    return Transducer(base, output)
+    delta = tuple(key[1:] for key in label)
+    output = tuple(dict(zip(cls, t.output)).values())
+    return Transducer(Automaton(t.alphabet_size, delta), output)
 
 
 def minimal_rep(t: Transducer) -> Transducer:

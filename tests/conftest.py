@@ -4,9 +4,12 @@
 {00,21,10}, {01,11,20}, {02,12,22}; `fig_transducer` glues it to itself
 along the automorphism swapping states 0 and 2, which is the standard
 non-permutation-induced example.  Random corpora are seeded and deterministic.
+`oracle_minimize_partition` is the Moore refinement written with two
+normalized partitions per round, the reference the minimizer is checked against.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,9 @@ from shiftfold import (
     quotient,
     transducer_from_automorphism,
 )
+from shiftfold.formats import parse_transducer
+
+H3_INFINITE = Path(__file__).parent / "golden" / "inputs" / "h3_infinite.txt"
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +81,25 @@ def quotients_23(foldings_23):
 def quotients_32(foldings_32):
     g = de_bruijn(3, 2)
     return [quotient(g, p) for p in foldings_32]
+
+
+def oracle_minimize_partition(t):
+    """Classes of states that output the same word on every input."""
+    n = t.alphabet_size
+    part = StatePartition.from_class_of(t.output)
+    while True:
+        refined = StatePartition.from_class_of(
+            (part.class_of[q],) + tuple(part.class_of[t.base.delta[q][x]] for x in range(n))
+            for q in range(t.state_count)
+        )
+        if refined.class_count == part.class_count:
+            return part
+        part = refined
+
+
+def h3_infinite():
+    """The minimized infinite-order H_3 element of the golden corpus."""
+    return minimal_rep(parse_transducer(H3_INFINITE.read_text()))
 
 
 def glued_machines(automata, limit=None):

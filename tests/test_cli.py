@@ -1,6 +1,8 @@
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,32 @@ def test_subgroup_ag_refuses_an_infinite_order_generator():
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: subgroup closure cap exceeded\n"
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["debruijn", "fold-enum"])
+def test_de_bruijn_transition_table_is_capped(command):
+    """G(1000, 2) has 10^6 states but 10^9 transitions; it is refused before any
+    row is built.  The child's address space is capped at 1 GiB, so building the
+    table fails fast instead of exhausting memory."""
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", command, "1000", "2"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: de Bruijn graph G(1000, 2) would have more than 1000000 transitions\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

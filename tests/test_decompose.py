@@ -27,7 +27,7 @@ from shiftfold.decompose import (
     find_collapsible_pair,
     find_factor,
 )
-from conftest import random_h3_elements
+from conftest import h3_infinite, random_h3_elements
 
 
 def test_find_collapsible_pair_fig(fig_transducer):
@@ -330,3 +330,19 @@ def test_decomposition_factor_graphs_are_amalgamations(h3_pool):
             term = seq.terms[step.level_i][0]
             assert is_amalgamation(term, current.base)
             current = step.reduced
+
+
+@pytest.mark.slow
+def test_decomposition_at_paper_scale():
+    """The first power of an infinite-order H_3 element with at least 1,000
+    states (1,395) is a product of at most |H| torsion elements: it reduces to
+    one state in at most |H| - 1 steps, and every factor is an involution."""
+    base = h3_infinite()
+    power = base
+    while power.state_count < 1_000:
+        power = product_min(power, base)
+    f = decompose(power)
+    assert verify(f)
+    assert f.remainder.state_count == 1
+    assert len(f.steps) <= power.state_count - 1
+    assert all(order(x) in (1, 2) for x in f.inverse_factors)

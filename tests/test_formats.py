@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftfold import (
+    Automaton,
+    DigraphAutomorphism,
     LocalRule,
+    StatePartition,
+    Transducer,
     de_bruijn,
     enumerate_automorphisms,
     shift_transducer,
@@ -137,3 +143,90 @@ def test_negative_state_count_reaches_the_constructor():
     for text in ("automaton n=2 states=-1\n", "transducer n=2 states=-3\n"):
         with pytest.raises(SemanticError, match="needs at least one state"):
             parse_machine(text)
+
+
+PARSERS = (
+    parse_automaton,
+    parse_transducer,
+    parse_rule,
+    parse_partition,
+    parse_automorphism,
+    parse_machine,
+)
+
+# Header words, labels and small numbers, so that drawn texts get past the
+# header into the row checks; numbers stay small because a rule header's
+# n**window is computed before the table length is compared.
+TOKENS = st.sampled_from(
+    "automaton transducer rule partition automorphism state edges vertices: outputs: "
+    "class_of: n=2 n=3 n= states=1 states=2 states=-1 window=1 window=2 classes=1 "
+    "classes=2 0 1 2 3 -1 0: 1: 2: | : # = x 1.5".split()
+)
+SEPARATORS = st.sampled_from([" ", "\n", "\n\n", " # c\n"])
+TOKEN_TEXTS = st.lists(st.tuples(TOKENS, SEPARATORS), max_size=30).map(
+    lambda pairs: "".join(token + sep for token, sep in pairs)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), TOKEN_TEXTS))
+def test_parsers_raise_only_parse_errors(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@st.composite
+def automata(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, m - 1)] * n)
+    return Automaton(n, tuple(draw(st.lists(row, min_size=m, max_size=m))))
+
+
+@st.composite
+def transducers(draw):
+    a = draw(automata())
+    row = st.tuples(*[st.integers(0, a.alphabet_size - 1)] * a.alphabet_size)
+    m = a.state_count
+    return Transducer(a, tuple(draw(st.lists(row, min_size=m, max_size=m))))
+
+
+@st.composite
+def rules(draw):
+    n, window = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    letters = st.lists(st.integers(0, n - 1), min_size=n**window, max_size=n**window)
+    return LocalRule(n, window, tuple(draw(letters)))
+
+
+partitions = st.lists(st.integers(0, 4), max_size=8).map(StatePartition.from_class_of)
+
+
+@st.composite
+def automorphisms(draw):
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    letters = st.permutations(range(n)).map(tuple)
+    vertex = tuple(draw(st.permutations(range(m))))
+    return DigraphAutomorphism(vertex, tuple(draw(st.lists(letters, min_size=m, max_size=m))))
+
+
+def rendered(machine) -> str:
+    if isinstance(machine, DigraphAutomorphism):
+        return render_automorphism(machine, len(machine.edge_letters[0]))
+    renders = {
+        Automaton: render_automaton,
+        Transducer: render_transducer,
+        LocalRule: render_rule,
+        StatePartition: render_partition,
+    }
+    return renders[type(machine)](machine)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(automata(), transducers(), rules(), partitions, automorphisms()))
+def test_render_parse_round_trips(machine):
+    text = rendered(machine)
+    assert parse_machine(text) == machine
+    assert rendered(parse_machine(text)) == text

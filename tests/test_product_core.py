@@ -1,15 +1,16 @@
-"""The core-only product and the one-dict Moore refinement against their originals.
+"""The core-only product and the minimizer against their originals.
 
 `product_min` builds only the core of the state product, from a forced pair
 of states.  It must return the very object `minimal_rep(product_raw(t, u))`
 returns, with the same states, numbering and outputs, and raise the same
-operand errors in the same order.  `minimize_partition` must give the
-partition of `oracle_minimize_partition`, the earlier refinement that built
-two normalized partitions per round.  The guard fails if `product_min` or
-`order` falls back to the raw product or to core extraction.
+operand errors in the same order.  `weak_minimize` reads the merged machine
+off its last refinement round; it must return the very object built the
+long way, from the classes of `oracle_minimize_partition` (the refinement
+with two normalized partitions per round), `quotient` and the outputs of the
+first state of each class, and it must be idempotent.  The guards fail if
+`product_min` or `order` falls back to the raw product or to core
+extraction, or if minimizing builds a `StatePartition`.
 """
-
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,34 +26,30 @@ from shiftfold import (
     order,
     product_min,
     product_raw,
+    quotient,
     rule_to_transducer,
+    weak_minimize,
 )
 from shiftfold import transducers
-from shiftfold.formats import parse_transducer
-from shiftfold.transducers import minimize_partition
+
+from conftest import h3_infinite, oracle_minimize_partition
 
 SETTINGS = settings(max_examples=40, deadline=None)
-
-H3_INFINITE = Path(__file__).parent / "golden" / "inputs" / "h3_infinite.txt"
 
 NOT_SYNCHRONIZING = Transducer(Automaton(2, ((0, 0), (1, 1))), ((0, 1), (1, 0)))
 
 
-def oracle_minimize_partition(t):
-    n = t.alphabet_size
-    part = StatePartition.from_class_of(t.output)
-    while True:
-        refined = StatePartition.from_class_of(
-            (part.class_of[q],) + tuple(part.class_of[t.base.delta[q][x]] for x in range(n))
-            for q in range(t.state_count)
-        )
-        if refined.class_count == part.class_count:
-            return part
-        part = refined
+def oracle_weak_minimize(t):
+    part = oracle_minimize_partition(t)
+    rep = part.representatives()
+    output = tuple(t.output[rep[c]] for c in range(part.class_count))
+    return Transducer(quotient(t.base, part), output)
 
 
-def h3_infinite():
-    return minimal_rep(parse_transducer(H3_INFINITE.read_text()))
+def assert_minimizes_as_oracle(t):
+    reduced = weak_minimize(t)
+    assert reduced == oracle_weak_minimize(t)
+    assert weak_minimize(reduced) == reduced
 
 
 def assert_product_matches_raw(t, u):
@@ -126,14 +123,14 @@ def transducer_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(transducer_tables())
 def test_refinement_matches_two_partitions_per_round(t):
-    assert minimize_partition(t) == oracle_minimize_partition(t)
+    assert_minimizes_as_oracle(t)
 
 
 @SETTINGS
 @given(picks, picks)
 def test_refinement_of_raw_products_matches(h3_pool, left, right):
     raw = product_raw(pool_product(h3_pool, left), pool_product(h3_pool, right))
-    assert minimize_partition(raw) == oracle_minimize_partition(raw)
+    assert_minimizes_as_oracle(raw)
 
 
 def test_product_and_order_never_build_the_raw_product(monkeypatch):
@@ -146,4 +143,17 @@ def test_product_and_order_never_build_the_raw_product(monkeypatch):
     monkeypatch.setattr(transducers, "product_raw", refuse)
     monkeypatch.setattr(transducers, "core", refuse)
     assert product_min(t, t) == expected
+    assert order(t, cap_states=1_000) is None
+
+
+def test_minimizing_builds_no_partition(monkeypatch):
+    t = h3_infinite()
+    raw = product_raw(t, t)
+    expected = weak_minimize(raw), product_min(t, t)
+
+    def refuse(*_):
+        raise AssertionError("a StatePartition was built")
+
+    monkeypatch.setattr(StatePartition, "__post_init__", refuse)
+    assert (weak_minimize(raw), product_min(t, t)) == expected
     assert order(t, cap_states=1_000) is None
