@@ -80,7 +80,7 @@ class Automaton:
     @cached_property
     def _sync_level(self) -> int | None:
         """Index of the one-state term of the row-merge sequence, or None."""
-        for level, (delta, _) in enumerate(_merge_terms(self.delta)):
+        for level, (delta, _) in enumerate(merge_terms(self.delta)):
             if len(delta) == 1:
                 return level
         return None
@@ -223,7 +223,7 @@ class SyncSequence:
     stabilization_index: int
 
 
-def _merge_terms(delta):
+def merge_terms(delta):
     """The row-merge sequence on plain arrays: yields (term delta, class_of).
 
     Term 0 is `delta` itself with every state in its own class.  Each next
@@ -247,7 +247,7 @@ def sync_sequence(a: Automaton) -> SyncSequence:
     n = a.alphabet_size
     terms = tuple(
         (a if i == 0 else Automaton(n, delta), StatePartition(tuple(class_of), len(delta)))
-        for i, (delta, class_of) in enumerate(_merge_terms(a.delta))
+        for i, (delta, class_of) in enumerate(merge_terms(a.delta))
     )
     return SyncSequence(terms, len(terms) - 1)
 

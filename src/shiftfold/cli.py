@@ -17,8 +17,8 @@ from .automata import (
     CapExceededError,
     core_of,
     de_bruijn,
+    merge_terms,
     sync_level,
-    sync_sequence,
 )
 from .decompose import decompose, decompose_involutions, verify
 from .digraph_aut import enumerate_automorphisms, transducer_from_automorphism
@@ -81,8 +81,7 @@ def cmd_debruijn(args) -> int:
 
 def cmd_sync(args) -> int:
     base = _machine_base(parse_machine(_read(args.file)))
-    seq = sync_sequence(base)
-    counts = " ".join(str(term.state_count) for term, _ in seq.terms)
+    counts = " ".join(str(len(delta)) for delta, _ in merge_terms(base.delta))
     level = sync_level(base)
     text = f"sequence: {counts}\nlevel: {'none' if level is None else level}\n"
     _emit(text, args.output)

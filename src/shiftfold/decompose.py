@@ -1,9 +1,9 @@
 """Torsion decomposition of invertible bisynchronizing machines.
 
-Each step finds two states with identical transition rows, aligns their output
-rows by a letter permutation, locates the first inverse-side sync-sequence
-term where that permutation acts on parallel edges, and multiplies by the
-machine glued from the resulting vertex-fixing automorphism.  State count
+Each step takes two states with identical transition rows, aligns their output
+rows by a letter permutation, reads the inverse's row-merge terms (`merge_terms`)
+for the first one where that permutation acts on parallel edges, and multiplies
+by the machine glued from the resulting vertex-fixing automorphism.  State count
 drops strictly, so a machine of size s factors through at most s - 1 steps.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, merge_search, sync_sequence
+from .automata import Automaton, merge_search, merge_terms, row_merge_partition
 from .digraph_aut import (
     DigraphAutomorphism,
     edge_count_matrix,
@@ -50,13 +50,13 @@ class Factorization:
 
 
 def find_collapsible_pair(t: Transducer) -> tuple[int, int]:
-    """Lexicographically least pair of distinct states with equal transition rows."""
+    """Lexicographically least pair of distinct states with equal transition rows: the
+    first two states of the first row-merge block with two (blocks go by least state)."""
     if t.state_count <= 1:
         raise ValueError("single-state machine has no collapsible pair")
-    for p in range(t.state_count):
-        for q in range(p + 1, t.state_count):
-            if t.base.delta[p] == t.base.delta[q]:
-                return (p, q)
+    for block in row_merge_partition(t.base).blocks():
+        if len(block) > 1:
+            return block[0], block[1]
     raise AssertionError("strongly synchronizing machine with >1 state must collapse")
 
 
@@ -80,46 +80,46 @@ def find_factor(
 ) -> tuple[int, Automaton, DigraphAutomorphism, Transducer]:
     """Level, inverse-side term, vertex-fixing automorphism and glued machine.
 
-    Scans the synchronizing sequence of the inverse's underlying automaton for
-    the first term where [p] and [q] stay distinct while all edges from [q]
-    within one alignment cycle have become parallel.
+    Reads the row-merge terms of the inverse's underlying automaton for the
+    first one where [p] and [q] stay distinct while all edges from [q] within
+    one alignment cycle have become parallel, and builds only that term.
     """
     alpha = alignment_permutation(t, p, q)
     cycles = perm_cycles(alpha)
     b = invert(t).base
-    seq = sync_sequence(b)
-    for i, (term, part) in enumerate(seq.terms):
-        cp, cq = part.class_of[p], part.class_of[q]
+    for i, (delta, class_of) in enumerate(merge_terms(b.delta)):
+        cp, cq = class_of[p], class_of[q]
         if cp == cq:
             break
-        if all(
-            term.delta[cq][cycle[0]] == term.delta[cq][x] for cycle in cycles for x in cycle[1:]
-        ):
+        if all(delta[cq][cycle[0]] == delta[cq][x] for cycle in cycles for x in cycle[1:]):
+            term = Automaton(b.alphabet_size, delta)
             tau = relabeling(term, cq, alpha)
             return i, term, tau, transducer_from_automorphism(term, tau)
     raise AssertionError("no usable synchronizing-sequence term; input outside the group")
 
 
+def _derive(t: Transducer, p: int, q: int, split: bool) -> tuple[int, Transducer, list | None]:
+    """Level and glued factor collapsing p and q, with its glued involution pieces
+    if `split` (else None); the one step derivation of `_step` and `verify`."""
+    level, term, tau, h = find_factor(t, p, q)
+    if not split:
+        return level, h, None
+    return level, h, [transducer_from_automorphism(term, x) for x in involution_factors(term, tau)]
+
+
 def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:
     p, q = find_collapsible_pair(t)
-    alpha = alignment_permutation(t, p, q)
-    level, term, tau, h = find_factor(t, p, q)
-    involutions = None
-    if split:
-        involutions = tuple(
-            canonical_rep(transducer_from_automorphism(term, piece))
-            for piece in involution_factors(term, tau)
-        )
+    level, h, pieces = _derive(t, p, q, split)
     reduced = canonical_rep(product_min(t, h))
     if reduced.state_count >= t.state_count:
         raise AssertionError("decomposition step failed to shrink the machine")
     step = DecompositionStep(
         pair=(p, q),
-        alpha=alpha,
+        alpha=alignment_permutation(t, p, q),
         level_i=level,
         factor=canonical_rep(h),
         reduced=reduced,
-        involutions=involutions,
+        involutions=None if pieces is None else tuple(map(canonical_rep, pieces)),
     )
     return step, reduced
 
@@ -173,20 +173,14 @@ def verify(f: Factorization) -> bool:
     for step in f.steps:
         if order(step.factor) is None:
             return False
-        level, term, tau, h = find_factor(current, *step.pair)
+        level, h, pieces = _derive(current, *step.pair, step.involutions is not None)
         if level != step.level_i or not equal_omega(h, step.factor):
             return False
-        if step.involutions is not None:
-            rebuilt = [
-                transducer_from_automorphism(term, piece)
-                for piece in involution_factors(term, tau)
-            ]
-            if len(rebuilt) != len(step.involutions):
-                return False
-            if any(
-                not equal_omega(x, y) for x, y in zip(rebuilt, step.involutions)
-            ):
-                return False
+        if pieces is not None and (
+            len(pieces) != len(step.involutions)
+            or not all(map(equal_omega, pieces, step.involutions))
+        ):
+            return False
         current = step.reduced
     return current.state_count == 1
 

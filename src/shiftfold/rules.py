@@ -37,6 +37,9 @@ class LocalRule:
             raise ValueError("alphabet size must be at least 2")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        # n >= 2, so n**window passes the table length once window passes its bit length
+        if self.window > len(self.table).bit_length():
+            raise ValueError(f"table needs more than {len(self.table)} entries")
         if len(self.table) != n**self.window:
             raise ValueError(f"table needs {n ** self.window} entries")
         for y in self.table:

@@ -339,6 +339,27 @@ def test_de_bruijn_transition_table_is_capped(command):
     assert proc.stderr == "error: de Bruijn graph G(1000, 2) would have more than 1000000 transitions\n"
 
 
+def test_huge_rule_window_is_refused_without_forming_the_power(tmp_path):
+    """2**100000000000 would take the parser minutes and gigabytes to form; the
+    window alone shows that two outputs cannot fill the table."""
+    path = tmp_path / "huge.txt"
+    path.write_text("rule n=2 window=100000000000\noutputs: 0 1\n")
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", "rule2trans", str(path)],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: table needs more than 2 entries (line 2)\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_fold_count_rejects_a_non_positive_alphabet(n, capsys):
     code = main(["fold-count", n, "2"])

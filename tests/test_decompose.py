@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftfold import (
     Automaton,
@@ -44,6 +47,50 @@ def test_find_collapsible_pair_two_state():
 def test_find_collapsible_pair_single_state():
     with pytest.raises(ValueError):
         find_collapsible_pair(identity_transducer(2))
+
+
+def oracle_collapsible_pair(t):
+    """Reference: the least pair found by comparing every pair of rows."""
+    for p in range(t.state_count):
+        for q in range(p + 1, t.state_count):
+            if t.base.delta[p] == t.base.delta[q]:
+                return (p, q)
+    return None
+
+
+def _with_identity_outputs(n, delta):
+    return Transducer(Automaton(n, tuple(delta)), (tuple(range(n)),) * len(delta))
+
+
+@st.composite
+def repeated_row_tables(draw):
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 30))
+    row = st.tuples(*[st.integers(0, m - 1)] * n)
+    delta = draw(st.lists(row, min_size=m, max_size=m))
+    p, q = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    delta[q] = delta[p]
+    return _with_identity_outputs(n, delta)
+
+
+@st.composite
+def distinct_row_tables(draw):
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 30))
+    row = st.tuples(*[st.integers(0, m - 1)] * n)
+    return _with_identity_outputs(n, draw(st.lists(row, min_size=m, max_size=m, unique=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_row_tables())
+def test_find_collapsible_pair_is_the_least_pair(t):
+    assert find_collapsible_pair(t) == oracle_collapsible_pair(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_row_tables())
+def test_find_collapsible_pair_needs_a_repeated_row(t):
+    assert oracle_collapsible_pair(t) is None
+    with pytest.raises(AssertionError, match="^strongly synchronizing machine with >1 state must collapse$"):
+        find_collapsible_pair(t)
 
 
 def test_alignment_permutation_fig(fig_transducer):
@@ -298,6 +345,52 @@ def test_verify_rejects_tampered_factorization(fig_transducer):
         steps=f.steps,
     )
     assert not verify(tampered)
+
+
+@pytest.fixture(scope="module")
+def two_step_factorizations(h3_pool):
+    """An H_3 product decomposed in at least two steps, plain and split."""
+    t = next(t for t in random_h3_elements(h3_pool, 10, seed=31) if len(decompose(t).steps) >= 2)
+    return decompose(t), decompose_involutions(t)
+
+
+def _tamper_step(f, index, **changes):
+    steps = list(f.steps)
+    steps[index] = replace(steps[index], **changes)
+    return replace(f, steps=tuple(steps))
+
+
+def test_untampered_step_certificates_verify(two_step_factorizations):
+    plain, split = two_step_factorizations
+    assert len(plain.steps) >= 2 and verify(plain) and verify(split)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_verify_rejects_a_tampered_level(two_step_factorizations, split):
+    f = two_step_factorizations[split]
+    assert not verify(_tamper_step(f, 1, level_i=f.steps[1].level_i + 1))
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_verify_rejects_a_swapped_factor(two_step_factorizations, h3_pool, split):
+    f = two_step_factorizations[split]
+    factor = f.steps[1].factor
+    other = next(x for x in h3_pool if not equal_omega(x, factor) and order(x) is not None)
+    assert not verify(_tamper_step(f, 1, factor=other))
+
+
+def test_verify_rejects_a_dropped_involution(two_step_factorizations):
+    split = two_step_factorizations[1]
+    involutions = split.steps[1].involutions
+    assert not verify(_tamper_step(split, 1, involutions=involutions[1:]))
+
+
+def test_verify_rejects_a_swapped_involution(two_step_factorizations, h3_pool):
+    split = two_step_factorizations[1]
+    involutions = split.steps[1].involutions
+    other = next(x for x in h3_pool if order(x) == 2 and not equal_omega(x, involutions[0]))
+    swapped = (other,) + involutions[1:]
+    assert not verify(_tamper_step(split, 1, involutions=swapped))
 
 
 def test_amalgamation_reflexive(fig_automaton):

@@ -154,12 +154,13 @@ PARSERS = (
     parse_machine,
 )
 
-# Header words, labels and small numbers, so that drawn texts get past the
-# header into the row checks; numbers stay small because a rule header's
-# n**window is computed before the table length is compared.
+# Header words, labels and numbers, so that drawn texts get past the header
+# into the row checks.  A huge rule window must be refused from the table
+# length alone, without forming n**window.
 TOKENS = st.sampled_from(
     "automaton transducer rule partition automorphism state edges vertices: outputs: "
-    "class_of: n=2 n=3 n= states=1 states=2 states=-1 window=1 window=2 classes=1 "
+    "class_of: n=2 n=3 n= states=1 states=2 states=-1 window=1 window=2 "
+    "window=100000000000 classes=1 "
     "classes=2 0 1 2 3 -1 0: 1: 2: | : # = x 1.5".split()
 )
 SEPARATORS = st.sampled_from([" ", "\n", "\n\n", " # c\n"])

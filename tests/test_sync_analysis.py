@@ -168,13 +168,13 @@ def test_forced_states_rejects_what_cannot_force(a, data):
 
 def test_analysis_runs_once_per_automaton(monkeypatch):
     runs = []
-    original = automata._merge_terms
+    original = automata.merge_terms
 
     def counting_merge_terms(delta):
         runs.append(delta)
         return original(delta)
 
-    monkeypatch.setattr(automata, "_merge_terms", counting_merge_terms)
+    monkeypatch.setattr(automata, "merge_terms", counting_merge_terms)
     a = quotient(de_bruijn(2, 4), congruence_closure(de_bruijn(2, 4), [(0, 1)]))
     k = sync_level(a)
     core_states(a)
