@@ -13,7 +13,6 @@ from .automata import (
     is_core,
     is_folding,
     is_isomorphic,
-    is_strongly_synchronizing,
     quotient,
     sync_level,
     sync_map,

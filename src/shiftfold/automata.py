@@ -257,10 +257,6 @@ def sync_level(a: Automaton) -> int | None:
     return a._sync_level
 
 
-def is_strongly_synchronizing(a: Automaton) -> bool:
-    return a._sync_level is not None
-
-
 def require_sync_level(a: Automaton, what: str = "automaton", core: bool = False) -> int:
     """sync_level(a), raising ValueError naming `what` unless A is strongly
     synchronizing and, when `core` is set, core."""
@@ -341,12 +337,15 @@ def folding_from_sync(a: Automaton, level: int | None = None) -> StatePartition:
 def least_encoding(delta, output=None) -> tuple[bytes, list[int]]:
     """Least BFS encoding over all root choices, and the old -> new order producing it.
 
-    From each root, a breadth-first search reading letters 0..n-1 numbers the
-    states in visit order.  The encoding is the list n, m followed, state by
-    state in that order, by its renamed transition row and then its output row
-    when `output` is given.  Roots that miss some state are skipped; ties keep
-    the least root.  Requires every state to be reachable from at least one
-    single state (true for any core strongly synchronizing automaton).
+    From each root, a breadth-first search reading letters 0..n-1 numbers the states in
+    visit order.  The encoding is the list n, m followed, state by state in that order, by
+    its renamed transition row and then its output row when `output` is given.  Roots that
+    miss some state are skipped; ties keep the least root.  Requires every state to be
+    reachable from at least one single state (true for any core strongly synchronizing
+    automaton).  After n, m the list starts with 0 when letter 0 fixes the root, else 1, so
+    0-fixed roots go first and, once one reaches every state, no other is tried.  In a core
+    strongly synchronizing machine one suffices: the state 0^k forces is the only 0-fixed
+    state, and it reaches every state.
 
     Only the least list is packed, each value as 4 bytes big-endian.  Fixed-width
     big-endian bytes compare exactly like the lists they pack, a proper prefix
@@ -355,7 +354,9 @@ def least_encoding(delta, output=None) -> tuple[bytes, list[int]]:
     m = len(delta)
     n = len(delta[0])
     best = best_order = None
-    for root in range(m):
+    for root in sorted(range(m), key=lambda r: delta[r][0] != r):
+        if best is not None and best[2] == 0 and delta[root][0] != root:
+            break
         order = [-1] * m
         order[root] = 0
         visit = [root]

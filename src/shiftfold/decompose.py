@@ -18,7 +18,6 @@ from .digraph_aut import (
     involution_factors,
     perm_cycles,
     relabeling,
-    transducer_from_automorphism,
 )
 from .transducers import (
     Transducer,
@@ -94,17 +93,17 @@ def find_factor(
         if all(delta[cq][cycle[0]] == delta[cq][x] for cycle in cycles for x in cycle[1:]):
             term = Automaton(b.alphabet_size, delta)
             tau = relabeling(term, cq, alpha)
-            return i, term, tau, transducer_from_automorphism(term, tau)
+            return i, term, tau, Transducer(term, tau.edge_letters)
     raise AssertionError("no usable synchronizing-sequence term; input outside the group")
 
 
 def _derive(t: Transducer, p: int, q: int, split: bool) -> tuple[int, Transducer, list | None]:
-    """Level and glued factor collapsing p and q, with its glued involution pieces
-    if `split` (else None); the one step derivation of `_step` and `verify`."""
+    """Level and glued factor collapsing p and q, plus its involution pieces if `split` (else
+    None), glued unchecked as `relabeling` checked each; shared by `_step` and `verify`."""
     level, term, tau, h = find_factor(t, p, q)
     if not split:
         return level, h, None
-    return level, h, [transducer_from_automorphism(term, x) for x in involution_factors(term, tau)]
+    return level, h, [Transducer(term, x.edge_letters) for x in involution_factors(term, tau)]
 
 
 def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:

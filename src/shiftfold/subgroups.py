@@ -34,6 +34,7 @@ from .digraph_aut import (
     transducer_from_automorphism,
 )
 from .transducers import (
+    ELEMENT_STATE_CAP,
     Transducer,
     canonical_key,
     canonical_rep,
@@ -41,7 +42,6 @@ from .transducers import (
     identity_transducer,
     invert,
     is_in_hn,
-    order,
     product_min,
 )
 
@@ -110,16 +110,15 @@ def w_word(h: Transducer, gamma) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SubgroupClosure:
     elements: tuple[Transducer, ...]
-    generators: tuple[Transducer, ...]
     max_sync_level: int
 
 
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     """The subgroup generated by `gens`: breadth first from the identity by right products
-    with each distinct generator and inverse, at most `cap` elements, by state count then key;
-    a generator whose `order` passes `cap` (or its state cap) trips the cap before the search.
-    Elements are told apart by their canonical representatives, which are identical exactly
-    when the elements are equal, so only the admitted elements are keyed."""
+    with each distinct generator and inverse, by state count then key.  The one search refuses
+    past `cap` elements or, before canonicalizing it, at a product past `ELEMENT_STATE_CAP`
+    states (`order`'s cap), as torsion generators of an infinite group reach.  Elements are
+    keyed by canonical representatives, identical exactly when the elements are equal."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -129,21 +128,20 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
             raise ValueError("generators must share one alphabet")
         if not is_in_hn(g):
             raise ValueError("generators must be invertible and bisynchronizing")
-    if any(order(g, cap_iters=cap) is None for g in gens):
-        raise CapExceededError("subgroup closure cap exceeded")
-
     steps = dict.fromkeys(canonical_rep(s) for s in gens + tuple(invert(g) for g in gens))
-    found = reachable(
-        canonical_rep(identity_transducer(n)),
-        lambda t: (canonical_rep(product_min(t, s)) for s in steps),
-        lambda t: t,
-        cap,
-        "subgroup closure",
-    )
+
+    def successors(t: Transducer):
+        for s in steps:
+            product = product_min(t, s)
+            if product.state_count > ELEMENT_STATE_CAP:
+                raise CapExceededError("subgroup closure cap exceeded")
+            yield canonical_rep(product)
+
+    identity = canonical_rep(identity_transducer(n))
+    found = reachable(identity, successors, lambda t: t, cap, "subgroup closure")
     elements = [t for _, t in found]
     ordered = tuple(sorted(elements, key=lambda t: (t.state_count, canonical_key(t))))
-    level = max(sync_level(t.base) for t in ordered)
-    return SubgroupClosure(ordered, gens, level)
+    return SubgroupClosure(ordered, max(sync_level(t.base) for t in ordered))
 
 
 def subgroup_automaton(

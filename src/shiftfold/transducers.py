@@ -25,6 +25,9 @@ from .automata import (
     sync_level,
 )
 
+# Largest element, in states, that `order` and `subgroup_closure` will form.
+ELEMENT_STATE_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class Transducer:
@@ -274,7 +277,7 @@ def apply_periodic(t: Transducer, period) -> Word:
     return out
 
 
-def order(t: Transducer, cap_states: int = 10_000, cap_iters: int = 1_000) -> int | None:
+def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1_000) -> int | None:
     """Least k with T^k the identity under the monoid product; None past the caps.
 
     Each power is kept in minimal core form, so reaching the identity is a

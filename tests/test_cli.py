@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftfold import de_bruijn, shift_transducer, single_state
+from shiftfold import de_bruijn, decompose, shift_transducer, single_state
 from shiftfold.cli import main
 from shiftfold.formats import (
     parse_automaton,
@@ -18,6 +18,8 @@ from shiftfold.formats import (
     render_transducer,
 )
 from shiftfold.rules import shift_rule
+
+from conftest import h3_infinite
 
 
 def bell_refusal(k: str) -> str:
@@ -299,7 +301,8 @@ def test_large_bell_fails_cleanly(capsys):
 
 def test_subgroup_ag_refuses_an_infinite_order_generator():
     """At the default cap the closure of an infinite-order element would run for
-    minutes before tripping the cap; the generator's order check refuses it first."""
+    minutes before tripping the element cap; a power past the closure's state cap
+    refuses it first."""
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "shiftfold.cli", "subgroup-ag", "tests/golden/inputs/h3_infinite.txt"],
@@ -316,6 +319,31 @@ def test_subgroup_ag_refuses_an_infinite_order_generator():
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_subgroup_ag_refuses_an_infinite_group_of_torsion_elements(tmp_path):
+    """Two involutions from the decomposition of an infinite-order element (the
+    CLI's factor_03 and factor_04) generate an infinite group.  Each has order 2,
+    so only the closure's state cap can refuse it: products of the two grow past
+    that cap long before the default 512 elements are admitted."""
+    f = decompose(h3_infinite())
+    paths = []
+    for i in (2, 3):
+        path = tmp_path / f"factor_{i + 1:02d}.txt"
+        path.write_text(render_transducer(f.inverse_factors[i]))
+        paths.append(str(path))
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", "subgroup-ag", *paths],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: subgroup closure cap exceeded\n"
 
 
 @pytest.mark.parametrize("command", ["debruijn", "fold-enum"])

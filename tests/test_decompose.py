@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from shiftfold import (
     Automaton,
     Transducer,
+    canonical_key,
     de_bruijn,
     decompose,
     decompose_involutions,
@@ -427,13 +429,17 @@ def test_decomposition_factor_graphs_are_amalgamations(h3_pool):
 
 @pytest.mark.slow
 def test_decomposition_at_paper_scale():
-    """The first power of an infinite-order H_3 element with at least 1,000
-    states (1,395) is a product of at most |H| torsion elements: it reduces to
-    one state in at most |H| - 1 steps, and every factor is an involution."""
+    """The first power of an infinite-order H_3 element with at least 5,000
+    states (5,607) is a product of at most |H| torsion elements: it reduces to
+    one state in at most |H| - 1 steps, and every factor is an involution.
+    Its canonical key comes from one search, rooted at its only 0-fixed state."""
     base = h3_infinite()
     power = base
-    while power.state_count < 1_000:
+    while power.state_count < 5_000:
         power = product_min(power, base)
+    start = time.perf_counter()
+    canonical_key(power)
+    assert time.perf_counter() - start < 1
     f = decompose(power)
     assert verify(f)
     assert f.remainder.state_count == 1

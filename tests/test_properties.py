@@ -80,10 +80,11 @@ def tables(draw, n, m, with_output):
     """A transition table, with an output table when asked.  It is random, or
     letter 0 runs one cycle through all states so every root reaches the whole
     machine, or it is circulant (q reads x to q + shift[x] mod m, every state
-    outputs the same row) so every root gives the same encoding."""
+    outputs the same row) so every root gives the same encoding, or letter 0
+    fixes a random set of states, so the encoder's 0-fixed roots can tie."""
     state = st.integers(0, m - 1)
     letters = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
-    kind = draw(st.sampled_from(("random", "cycle", "circulant")))
+    kind = draw(st.sampled_from(("random", "cycle", "circulant", "fixed")))
     if kind == "circulant":
         shift = draw(st.lists(state, min_size=n, max_size=n))
         delta = [[(q + c) % m for c in shift] for q in range(m)]
@@ -93,6 +94,10 @@ def tables(draw, n, m, with_output):
         if kind == "cycle":
             for q in range(m):
                 delta[q][0] = (q + 1) % m
+        if kind == "fixed":
+            for q, fixed in enumerate(draw(st.lists(st.booleans(), min_size=m, max_size=m))):
+                if fixed:
+                    delta[q][0] = q
         output = tuple(draw(letters) for _ in range(m)) if with_output else None
     return tuple(map(tuple, delta)), output
 

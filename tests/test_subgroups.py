@@ -1,3 +1,4 @@
+from inspect import signature
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from shiftfold import (
     invert,
     is_isomorphic,
     minimal_rep,
+    order,
     product_min,
     quotient,
     shift_transducer,
@@ -25,7 +27,9 @@ from shiftfold import (
     transducer_from_automorphism,
     w_word,
 )
+from shiftfold import subgroups
 from shiftfold.digraph_aut import compose_automorphisms
+from shiftfold.transducers import ELEMENT_STATE_CAP
 from shiftfold.formats import parse_transducer
 
 H3_INFINITE = Path(__file__).resolve().parent / "golden" / "inputs" / "h3_infinite.txt"
@@ -169,6 +173,26 @@ def test_subgroup_closure_cap_on_infinite_element():
     h = parse_transducer(H3_INFINITE.read_text())
     with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
         subgroup_closure([h], cap=10)
+
+
+def test_subgroup_closure_refuses_a_big_element_before_canonicalizing(monkeypatch):
+    """The closure's state cap is `order`'s default state cap, and a product past
+    it is refused before `canonical_rep` sees it.  Lowered to 100 states, it stops
+    the closure of the 6-state infinite-order element at its 150-state fifth power,
+    long before the 20-element cap."""
+    assert signature(order).parameters["cap_states"].default == ELEMENT_STATE_CAP
+    seen = []
+
+    def counted(t):
+        seen.append(t.state_count)
+        return canonical_rep(t)
+
+    monkeypatch.setattr(subgroups, "ELEMENT_STATE_CAP", 100)
+    monkeypatch.setattr(subgroups, "canonical_rep", counted)
+    h = parse_transducer(H3_INFINITE.read_text())
+    with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
+        subgroup_closure([h], cap=20)
+    assert seen and max(seen) <= 100
 
 
 def test_subgroup_automaton_trivial():
