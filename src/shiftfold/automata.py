@@ -6,6 +6,12 @@ values are immutable after construction and safe to share between threads.
 An `Automaton` computes its synchronization analysis (sync level and core
 states) on first use and keeps it; both are pure functions of the fields, so
 two threads racing on a fresh automaton only compute the same value twice.
+
+Tables are checked where they come in: the public constructors (`Automaton`,
+`StatePartition`) and the parsers check every entry.  Tables the library
+builds from checked ones (`quotient`, `core_of` and the machines that
+`shiftfold.transducers` builds) are trusted and built with `_trusted`, which
+skips that check.
 """
 
 from __future__ import annotations
@@ -105,6 +111,15 @@ class Automaton:
                     seen.add(t)
                     visit.append(t)
         return tuple(sorted(seen))
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` from fields the library built itself, without
+    `__post_init__`'s check.  Extra fields land beside the dataclass fields and take no part
+    in equality or hashing; `_sync_bound` tags an Automaton with a bound on its sync level."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def de_bruijn(n: int, m: int) -> Automaton:
@@ -207,7 +222,7 @@ def quotient(a: Automaton, p: StatePartition) -> Automaton:
         tuple(p.class_of[a.delta[rep[c]][x]] for x in range(a.alphabet_size))
         for c in range(p.class_count)
     )
-    return Automaton(a.alphabet_size, delta)
+    return _trusted(Automaton, alphabet_size=a.alphabet_size, delta=delta)
 
 
 def row_merge_partition(a: Automaton) -> StatePartition:
@@ -315,7 +330,7 @@ def core_of(a: Automaton) -> tuple[Automaton, tuple[int, ...]]:
     delta = tuple(
         tuple(index[a.delta[old][x]] for x in range(a.alphabet_size)) for old in kept
     )
-    return Automaton(a.alphabet_size, delta), kept
+    return _trusted(Automaton, alphabet_size=a.alphabet_size, delta=delta), kept
 
 
 def is_core(a: Automaton) -> bool:

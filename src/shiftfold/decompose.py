@@ -27,6 +27,7 @@ from .transducers import (
     is_in_hn,
     order,
     product_min,
+    renumber,
 )
 
 
@@ -109,7 +110,7 @@ def _derive(t: Transducer, p: int, q: int, split: bool) -> tuple[int, Transducer
 def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:
     p, q = find_collapsible_pair(t)
     level, h, pieces = _derive(t, p, q, split)
-    reduced = canonical_rep(product_min(t, h))
+    reduced = renumber(product_min(t, h))
     if reduced.state_count >= t.state_count:
         raise AssertionError("decomposition step failed to shrink the machine")
     step = DecompositionStep(

@@ -43,6 +43,7 @@ from .transducers import (
     invert,
     is_in_hn,
     product_min,
+    renumber,
 )
 
 
@@ -135,7 +136,7 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
             product = product_min(t, s)
             if product.state_count > ELEMENT_STATE_CAP:
                 raise CapExceededError("subgroup closure cap exceeded")
-            yield canonical_rep(product)
+            yield renumber(product)
 
     identity = canonical_rep(identity_transducer(n))
     found = reachable(identity, successors, lambda t: t, cap, "subgroup closure")

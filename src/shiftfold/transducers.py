@@ -7,6 +7,15 @@ product and is the reference that `product_min` must agree with.  Machine
 equality throughout is "canonical key of the weakly minimal core
 representative", which makes the usual convention of not distinguishing
 behaviourally equal machines executable.
+
+Inputs are checked where they come in: the `Transducer` and `Automaton`
+constructors check every table entry, and `is_in_hn` checks group
+membership.  Tables this module builds from checked ones (products, cores,
+minimized machines, inverses and canonical representatives) are trusted and
+skip the constructor check.  Each product carries a bound on its sync level,
+the sum of its operands' levels, which minimizing and renumbering keep; a
+later `product_min` walks by that bound instead of analysing the machine
+again.  Operands the library did not build are analysed as before.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from math import ceil
 from .automata import (
     Automaton,
     Word,
+    _trusted,
     core_of,
     is_core,
     least_encoding,
@@ -62,6 +72,26 @@ class Transducer:
             out.append(self.output[state][c])
             state = self.base.delta[state][c]
         return state, tuple(out)
+
+
+def _machine(n: int, delta, output, bound: int | None = None) -> Transducer:
+    """A Transducer on tables the library built, its base tagged with `bound` on its sync level."""
+    base = _trusted(Automaton, alphabet_size=n, delta=delta, _sync_bound=bound)
+    return _trusted(Transducer, base=base, output=output)
+
+
+def _known_bound(a: Automaton) -> int | None:
+    """A bound on A's sync level known without analysis: the exact level once computed, else
+    the bound the library tagged A with, else None."""
+    known = vars(a)
+    level = known.get("_sync_level")
+    return level if level is not None else known.get("_sync_bound")
+
+
+def _level_bound(a: Automaton) -> int | None:
+    """`_known_bound`, else the exact `sync_level` (None when A does not synchronize)."""
+    bound = _known_bound(a)
+    return sync_level(a) if bound is None else bound
 
 
 def identity_transducer(n: int) -> Transducer:
@@ -110,7 +140,7 @@ def product_raw(t: Transducer, u: Transducer) -> Transducer:
 def core(t: Transducer) -> Transducer:
     """Restriction to the forced-state image of the underlying automaton."""
     base, kept = core_of(t.base)
-    return Transducer(base, tuple(t.output[q] for q in kept))
+    return _trusted(Transducer, base=base, output=tuple(t.output[q] for q in kept))
 
 
 def weak_minimize(t: Transducer) -> Transducer:
@@ -123,12 +153,16 @@ def weak_minimize(t: Transducer) -> Transducer:
     class c has the same successor classes (the classes form a folding), and
     the labels arrive in class order 0, 1, ..., so label c with its class
     dropped is row c of the merged transition table.  States of one class
-    share their output row, which the first round grouped them by.
+    share their output row, which the first round grouped them by.  A round
+    that gives every state its own class ends the refinement with T itself:
+    first-occurrence numbering then numbers state q as class q, so the merged
+    machine would equal T.  Merging never raises the sync level, so the
+    merged machine keeps T's known bound on it.
     """
     label: dict = {}
     cls = [label.setdefault(row, len(label)) for row in t.output]
     count = len(label)
-    while True:
+    while count < t.state_count:
         label = {}
         get = cls.__getitem__
         refined = [
@@ -136,11 +170,11 @@ def weak_minimize(t: Transducer) -> Transducer:
             for c, row in zip(cls, t.base.delta)
         ]
         if len(label) == count:
-            break
+            delta = tuple(key[1:] for key in label)
+            output = tuple(dict(zip(cls, t.output)).values())
+            return _machine(t.alphabet_size, delta, output, _known_bound(t.base))
         cls, count = refined, len(label)
-    delta = tuple(key[1:] for key in label)
-    output = tuple(dict(zip(cls, t.output)).values())
-    return Transducer(Automaton(t.alphabet_size, delta), output)
+    return t
 
 
 def minimal_rep(t: Transducer) -> Transducer:
@@ -159,8 +193,11 @@ def product_min(t: Transducer, u: Transducer) -> Transducer:
     a forced pair, and the pairs reachable from it are exactly the core.
     Pair (p, q) keeps its raw index p * |U| + q and the visited indices are
     sorted, so the core is numbered as `core(product_raw(t, u))` numbers it.
+    Any walk at least as long as the product's level reaches the same pair,
+    so an operand's known bound serves as its level (see `_level_bound`),
+    and the product carries the sum of the two as its own bound.
     """
-    kt, ku = sync_level(t.base), sync_level(u.base)
+    kt, ku = _level_bound(t.base), _level_bound(u.base)
     if kt is None or ku is None:
         raise ValueError("product_min operands must be strongly synchronizing")
     if t.alphabet_size != u.alphabet_size:
@@ -186,7 +223,7 @@ def product_min(t: Transducer, u: Transducer) -> Transducer:
     index = {s: i for i, s in enumerate(kept)}
     delta = tuple(tuple(map(index.__getitem__, rows[s])) for s in kept)
     output = tuple(tuple(map(u_out[s % mu].__getitem__, t_out[s // mu])) for s in kept)
-    return weak_minimize(Transducer(Automaton(t.alphabet_size, delta), output))
+    return weak_minimize(_machine(t.alphabet_size, delta, output, kt + ku))
 
 
 def is_invertible(t: Transducer) -> bool:
@@ -207,7 +244,7 @@ def invert(t: Transducer) -> Transducer:
             inverse[y] = x
         delta.append(tuple(t.base.delta[q][inverse[y]] for y in range(n)))
         output.append(tuple(inverse))
-    return Transducer(Automaton(n, tuple(delta)), tuple(output))
+    return _machine(n, tuple(delta), tuple(output))
 
 
 def bisync_levels(t: Transducer) -> tuple[int, int] | None:
@@ -244,12 +281,18 @@ def canonical_rep(t: Transducer) -> Transducer:
     Behaviourally equal machines map to identical objects, so canonical
     representatives can serve as dictionary keys.
     """
-    reduced = minimal_rep(t)
-    _, order = least_encoding(reduced.base.delta, reduced.output)
+    return renumber(minimal_rep(t))
+
+
+def renumber(t: Transducer) -> Transducer:
+    """`canonical_rep` of a machine that is already weakly minimal and core, such as a
+    `product_min` result, without minimizing it again: T renumbered by its least BFS
+    encoding.  Renumbering keeps the sync level, so T's known bound on it is kept."""
+    _, order = least_encoding(t.base.delta, t.output)
     old_of = sorted(range(len(order)), key=order.__getitem__)
-    delta = tuple(tuple(order[t] for t in reduced.base.delta[old]) for old in old_of)
-    output = tuple(reduced.output[old] for old in old_of)
-    return Transducer(Automaton(reduced.alphabet_size, delta), output)
+    delta = tuple(tuple(order[s] for s in t.base.delta[old]) for old in old_of)
+    output = tuple(t.output[old] for old in old_of)
+    return _machine(t.alphabet_size, delta, output, _known_bound(t.base))
 
 
 def equal_omega(t: Transducer, u: Transducer) -> bool:

@@ -119,6 +119,15 @@ def h3_pool(quotients_32):
     return glued_machines(quotients_32)
 
 
+def pool_product(pool, picks):
+    """A multi-state pool machine times further pool machines, picked by index."""
+    nontrivial = [t for t in pool if t.state_count > 1]
+    t = nontrivial[picks[0] % len(nontrivial)]
+    for i in picks[1:]:
+        t = product_min(t, pool[i % len(pool)])
+    return t
+
+
 def random_h3_elements(h3_pool, count, seed, max_factors=2):
     """Products of up to `max_factors` pool machines, minimized; deterministic.
 

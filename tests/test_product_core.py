@@ -32,7 +32,7 @@ from shiftfold import (
 )
 from shiftfold import transducers
 
-from conftest import h3_infinite, oracle_minimize_partition
+from conftest import h3_infinite, oracle_minimize_partition, pool_product
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -54,14 +54,6 @@ def assert_minimizes_as_oracle(t):
 
 def assert_product_matches_raw(t, u):
     assert product_min(t, u) == minimal_rep(product_raw(t, u))
-
-
-def pool_product(pool, picks):
-    nontrivial = [t for t in pool if t.state_count > 1]
-    t = nontrivial[picks[0] % len(nontrivial)]
-    for i in picks[1:]:
-        t = product_min(t, pool[i % len(pool)])
-    return t
 
 
 picks = st.lists(st.integers(min_value=0), min_size=1, max_size=3)

@@ -29,7 +29,7 @@ from shiftfold import (
 )
 from shiftfold import subgroups
 from shiftfold.digraph_aut import compose_automorphisms
-from shiftfold.transducers import ELEMENT_STATE_CAP
+from shiftfold.transducers import ELEMENT_STATE_CAP, renumber
 from shiftfold.formats import parse_transducer
 
 H3_INFINITE = Path(__file__).resolve().parent / "golden" / "inputs" / "h3_infinite.txt"
@@ -177,18 +177,22 @@ def test_subgroup_closure_cap_on_infinite_element():
 
 def test_subgroup_closure_refuses_a_big_element_before_canonicalizing(monkeypatch):
     """The closure's state cap is `order`'s default state cap, and a product past
-    it is refused before `canonical_rep` sees it.  Lowered to 100 states, it stops
-    the closure of the 6-state infinite-order element at its 150-state fifth power,
-    long before the 20-element cap."""
+    it is refused before `canonical_rep` or `renumber` sees it.  Lowered to 100
+    states, it stops the closure of the 6-state infinite-order element at its
+    150-state fifth power, long before the 20-element cap."""
     assert signature(order).parameters["cap_states"].default == ELEMENT_STATE_CAP
     seen = []
 
-    def counted(t):
-        seen.append(t.state_count)
-        return canonical_rep(t)
+    def counted(canonicalize):
+        def wrapper(t):
+            seen.append(t.state_count)
+            return canonicalize(t)
+
+        return wrapper
 
     monkeypatch.setattr(subgroups, "ELEMENT_STATE_CAP", 100)
-    monkeypatch.setattr(subgroups, "canonical_rep", counted)
+    monkeypatch.setattr(subgroups, "canonical_rep", counted(canonical_rep))
+    monkeypatch.setattr(subgroups, "renumber", counted(renumber))
     h = parse_transducer(H3_INFINITE.read_text())
     with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
         subgroup_closure([h], cap=20)
