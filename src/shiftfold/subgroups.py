@@ -36,13 +36,13 @@ from .digraph_aut import (
 from .transducers import (
     ELEMENT_STATE_CAP,
     Transducer,
+    _product_capped,
     canonical_key,
     canonical_rep,
     equal_omega,
     identity_transducer,
     invert,
     is_in_hn,
-    product_min,
     renumber,
 )
 
@@ -117,8 +117,9 @@ class SubgroupClosure:
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     """The subgroup generated by `gens`: breadth first from the identity by right products
     with each distinct generator and inverse, by state count then key.  The one search refuses
-    past `cap` elements or, before canonicalizing it, at a product past `ELEMENT_STATE_CAP`
-    states (`order`'s cap), as torsion generators of an infinite group reach.  Elements are
+    past `cap` elements or at a product past `ELEMENT_STATE_CAP` states (`order`'s cap), as
+    torsion generators of an infinite group reach; such a product is formed by the capped
+    product, so it is neither fully minimized nor built, let alone canonicalized.  Elements are
     keyed by canonical representatives, identical exactly when the elements are equal."""
     gens = tuple(gens)
     if not gens:
@@ -133,8 +134,8 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
 
     def successors(t: Transducer):
         for s in steps:
-            product = product_min(t, s)
-            if product.state_count > ELEMENT_STATE_CAP:
+            product = _product_capped(t, s, ELEMENT_STATE_CAP)
+            if product is None:
                 raise CapExceededError("subgroup closure cap exceeded")
             yield renumber(product)
 

@@ -8,6 +8,14 @@ equality throughout is "canonical key of the weakly minimal core
 representative", which makes the usual convention of not distinguishing
 behaviourally equal machines executable.
 
+Products are the one large-scale path (`order` forms each power of an element
+with one), so the work per state of the product walk and of the Moore
+refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.fromkeys`)
+rather than in Python loops over letters.  `order` and `subgroup_closure`
+form their elements with `_product_capped`, whose refinement stops once its
+class count passes the element cap, so a product past the cap is never fully
+minimized or built.
+
 Inputs are checked where they come in: the `Transducer` and `Automaton`
 constructors check every table entry, and `is_in_hn` checks group
 membership.  Tables this module builds from checked ones (products, cores,
@@ -21,7 +29,9 @@ again.  Operands the library did not build are analysed as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import ceil
+from operator import add, itemgetter
 
 from .automata import (
     Automaton,
@@ -143,38 +153,52 @@ def core(t: Transducer) -> Transducer:
     return _trusted(Transducer, base=base, output=tuple(t.output[q] for q in kept))
 
 
-def weak_minimize(t: Transducer) -> Transducer:
-    """Merge states that output the same word on every input (Moore refinement).
+def _refine(delta, output, cap: int):
+    """Moore refinement of the tables of a machine: the merged machine's (delta, output), the
+    given tables themselves when no two states merge, or None once the class count passes
+    `cap`.  The count only grows from round to round, so None means exactly that the merged
+    machine has more than `cap` states.
 
-    Round 1 labels each state by its output row; each later round labels it by
-    its class and its successors' classes, numbered by first occurrence.  The
-    rounds stop at the first one that splits no class, and that round is the
-    merged machine: each class then has exactly one label, so every state of
-    class c has the same successor classes (the classes form a folding), and
-    the labels arrive in class order 0, 1, ..., so label c with its class
-    dropped is row c of the merged transition table.  States of one class
-    share their output row, which the first round grouped them by.  A round
-    that gives every state its own class ends the refinement with T itself:
-    first-occurrence numbering then numbers state q as class q, so the merged
-    machine would equal T.  Merging never raises the sync level, so the
-    merged machine keeps T's known bound on it.
+    Round 1 labels each state by its output row; each later round labels it by its class and
+    its successors' classes, read off the transposed transition columns, which are formed
+    only when a second round is needed.  Labels are numbered by first occurrence, so the
+    first round that splits no class is the merged machine: each class then has exactly one
+    label, so every state of class c has the same successor classes (the classes form a
+    folding), and the labels arrive in class order 0, 1, ..., so label c with its class
+    dropped is row c of the merged transition table.  States of one class share their output
+    row, which the first round grouped them by.  A round that gives every state its own class
+    ends the refinement with no merge: first-occurrence numbering then numbers state q as
+    class q, so the merged machine would equal the given one.
     """
-    label: dict = {}
-    cls = [label.setdefault(row, len(label)) for row in t.output]
-    count = len(label)
-    while count < t.state_count:
-        label = {}
-        get = cls.__getitem__
-        refined = [
-            label.setdefault((c, *map(get, row)), len(label))
-            for c, row in zip(cls, t.base.delta)
-        ]
-        if len(label) == count:
-            delta = tuple(key[1:] for key in label)
-            output = tuple(dict(zip(cls, t.output)).values())
-            return _machine(t.alphabet_size, delta, output, _known_bound(t.base))
-        cls, count = refined, len(label)
-    return t
+    m = len(output)
+    labels = dict.fromkeys(output)
+    keys = output
+    cols = None
+    while True:
+        count = len(labels)
+        if count > cap:
+            return None
+        if count == m:
+            return delta, output
+        cls = list(map(dict(zip(labels, range(count))).__getitem__, keys))
+        if cols is None:
+            cols = tuple(zip(*delta))
+        # each state's class, then its successors' classes: one mapped column per letter
+        keys = list(zip(cls, *map(map, repeat(cls.__getitem__), cols)))
+        labels = dict.fromkeys(keys)
+        if len(labels) == count:
+            rows = map(itemgetter(slice(1, None)), labels)  # each label with its class dropped
+            return tuple(rows), tuple(dict(zip(cls, output)).values())
+
+
+def weak_minimize(t: Transducer) -> Transducer:
+    """Merge states that output the same word on every input (Moore refinement, see
+    `_refine`); T itself when no two states merge.  Merging never raises the sync level, so
+    the merged machine keeps T's known bound on it."""
+    delta, output = _refine(t.base.delta, t.output, t.state_count)
+    if output is t.output:
+        return t
+    return _machine(t.alphabet_size, delta, output, _known_bound(t.base))
 
 
 def minimal_rep(t: Transducer) -> Transducer:
@@ -185,17 +209,20 @@ def minimal_rep(t: Transducer) -> Transducer:
     return weak_minimize(t if is_core(t.base) else core(t))
 
 
-def product_min(t: Transducer, u: Transducer) -> Transducer:
-    """The monoid product: the core of `product_raw(t, u)`, weakly minimized.
+def _core_tables(t: Transducer, u: Transducer):
+    """(delta, output, bound) of the core of `product_raw(t, u)`, built directly.
 
-    Only the core is built.  The product synchronizes within the sum of its
-    factors' levels, so reading that many zeros from the pair (0, 0) reaches
-    a forced pair, and the pairs reachable from it are exactly the core.
-    Pair (p, q) keeps its raw index p * |U| + q and the visited indices are
-    sorted, so the core is numbered as `core(product_raw(t, u))` numbers it.
-    Any walk at least as long as the product's level reaches the same pair,
-    so an operand's known bound serves as its level (see `_level_bound`),
-    and the product carries the sum of the two as its own bound.
+    The product synchronizes within the sum of its factors' levels, so reading that many
+    zeros from the pair (0, 0) reaches a forced pair, and the pairs reachable from it are
+    exactly the core.  Pair (p, q) keeps its raw index p * |U| + q and the visited indices
+    are sorted, so the core is numbered as `core(product_raw(t, u))` numbers it.  Any walk at
+    least as long as the product's level reaches the same pair, so an operand's known bound
+    serves as its level (see `_level_bound`), and the sum of the two is the core's bound.
+
+    Each pair's rows are formed by C builtins: T's output row at p, as an `itemgetter`, picks
+    U's successors and outputs on it at q, and T's successors, multiplied by |U| once per
+    call, are added to the successors.  The sorted indices are renumbered in one pass over
+    the flattened rows, which are cut back into rows of |X| entries.
     """
     kt, ku = _level_bound(t.base), _level_bound(u.base)
     if kt is None or ku is None:
@@ -207,23 +234,43 @@ def product_min(t: Transducer, u: Transducer) -> Transducer:
     p = q = 0
     for _ in range(kt + ku):
         p, q = t_delta[p][0], u_delta[q][t_out[p][0]]
+    t_raw = [tuple([r * mu for r in row]) for row in t_delta]
+    t_pick = [itemgetter(*row) for row in t_out]  # picks a tuple: there are 2 or more letters
     start = p * mu + q
     rows = {start: None}
+    outs = {}
     visit = [start]
     for s in visit:
         p, q = divmod(s, mu)
-        u_row = u_delta[q]
-        row = tuple([r * mu + u_row[y] for r, y in zip(t_delta[p], t_out[p])])
-        rows[s] = row
+        pick = t_pick[p]
+        row = rows[s] = tuple(map(add, t_raw[p], pick(u_delta[q])))
+        outs[s] = pick(u_out[q])
         for r in row:
             if r not in rows:
                 rows[r] = None
                 visit.append(r)
     kept = sorted(rows)
-    index = {s: i for i, s in enumerate(kept)}
-    delta = tuple(tuple(map(index.__getitem__, rows[s])) for s in kept)
-    output = tuple(tuple(map(u_out[s % mu].__getitem__, t_out[s // mu])) for s in kept)
-    return weak_minimize(_machine(t.alphabet_size, delta, output, kt + ku))
+    index = dict(zip(kept, range(len(kept))))
+    flat = map(index.__getitem__, chain.from_iterable(map(rows.__getitem__, kept)))
+    delta = tuple(zip(*[flat] * t.alphabet_size))
+    return delta, tuple(map(outs.__getitem__, kept)), kt + ku
+
+
+def product_min(t: Transducer, u: Transducer) -> Transducer:
+    """The monoid product: the core of `product_raw(t, u)`, walked directly from a forced
+    pair (see `_core_tables`), weakly minimized; the very machine `minimal_rep(product_raw(t,
+    u))` gives.  It carries the sum of its operands' sync-level bounds as its own bound."""
+    delta, output, bound = _core_tables(t, u)
+    return weak_minimize(_machine(t.alphabet_size, delta, output, bound))
+
+
+def _product_capped(t: Transducer, u: Transducer, cap: int) -> Transducer | None:
+    """`product_min(t, u)`, or None when it has more than `cap` states.  The refinement stops
+    as soon as its class count passes `cap`, so an over-cap product is never fully
+    minimized, and no machine is built for it."""
+    delta, output, bound = _core_tables(t, u)
+    merged = _refine(delta, output, cap)
+    return None if merged is None else _machine(t.alphabet_size, *merged, bound)
 
 
 def is_invertible(t: Transducer) -> bool:
@@ -260,9 +307,21 @@ def bisync_levels(t: Transducer) -> tuple[int, int] | None:
     return (j, k)
 
 
+def _hn_minimized(t: Transducer) -> Transducer | None:
+    """`weak_minimize(t)` when T is a core invertible bisynchronizing machine, else None.
+
+    A member's minimization is core, so it is T's minimal core representative up to the
+    numbering of its states: `minimal_rep(t)` itself whenever T is core.
+    """
+    if bisync_levels(t) is None:
+        return None
+    reduced = weak_minimize(t)
+    return reduced if is_core(reduced.base) else None
+
+
 def is_in_hn(t: Transducer) -> bool:
     """Membership in the group of core invertible bisynchronizing machines."""
-    return bisync_levels(t) is not None and is_core(weak_minimize(t).base)
+    return _hn_minimized(t) is not None
 
 
 def canonical_key(t: Transducer) -> bytes:
@@ -323,19 +382,21 @@ def apply_periodic(t: Transducer, period) -> Word:
 def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1_000) -> int | None:
     """Least k with T^k the identity under the monoid product; None past the caps.
 
-    Each power is kept in minimal core form, so reaching the identity is a
-    constant-time test; powers of infinite-order elements grow without bound
-    and trip the state cap instead.
+    T is minimized once, for both the membership test and the base of the powers.  Each
+    power is kept in minimal core form, so reaching the identity is a constant-time test;
+    powers of infinite-order elements grow without bound and trip the state cap instead.
+    Each power is formed by `_product_capped`, so the first power past the cap is neither
+    fully minimized nor built.
     """
-    if not is_in_hn(t):
+    base = _hn_minimized(t)
+    if base is None:
         raise ValueError("order is defined only for invertible bisynchronizing machines")
-    base = minimal_rep(t)
     ident = tuple(range(t.alphabet_size))
     power = base
     for k in range(1, cap_iters + 1):
         if power.state_count == 1 and power.output[0] == ident:
             return k
-        power = product_min(power, base)
-        if power.state_count > cap_states:
+        power = _product_capped(power, base, cap_states)
+        if power is None:
             return None
     return None

@@ -5,7 +5,8 @@
 along the automorphism swapping states 0 and 2, which is the standard
 non-permutation-induced example.  Random corpora are seeded and deterministic.
 `oracle_minimize_partition` is the Moore refinement written with two
-normalized partitions per round, the reference the minimizer is checked against.
+normalized partitions per round, and `oracle_weak_minimize` the minimized
+machine built from it: the references the minimizer is checked against.
 """
 
 import random
@@ -95,6 +96,15 @@ def oracle_minimize_partition(t):
         if refined.class_count == part.class_count:
             return part
         part = refined
+
+
+def oracle_weak_minimize(t):
+    """The minimized machine built the long way: `quotient` by the oracle's classes and the
+    outputs of the first state of each class."""
+    part = oracle_minimize_partition(t)
+    rep = part.representatives()
+    output = tuple(t.output[rep[c]] for c in range(part.class_count))
+    return Transducer(quotient(t.base, part), output)
 
 
 def h3_infinite():

@@ -1,0 +1,164 @@
+"""The capped product that `order` and `subgroup_closure` form their elements with.
+
+`transducers._product_capped(t, u, cap)` is `product_min(t, u)`, or None when
+that product has more than `cap` states.  Its refinement stops as soon as the
+class count passes the cap, and the count never falls from round to round, so
+None must come exactly when the minimized product is over the cap, at the
+boundary too.  `order` minimizes its input once, for both the membership test
+and the base of its powers, and never builds the machine of the power that
+trips the cap; at every cap it must answer as the loop it replaced, which
+formed each whole power with `product_min`.  The refinement behind
+`weak_minimize` must still match the two-partition oracle on machines that are
+not core or do not synchronize, and return a minimal machine itself.
+"""
+
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftfold import (
+    Automaton,
+    Transducer,
+    invert,
+    is_core,
+    minimal_rep,
+    order,
+    product_min,
+    product_raw,
+    sync_level,
+    weak_minimize,
+)
+from shiftfold import transducers
+from shiftfold.formats import parse_transducer
+from shiftfold.transducers import _product_capped, renumber
+
+from conftest import H3_INFINITE, oracle_weak_minimize, pool_product
+
+SETTINGS = settings(max_examples=40, deadline=None)
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+picks = st.lists(st.integers(min_value=0), min_size=1, max_size=3)
+
+
+def assert_capped_at_the_boundary(t, u):
+    """Caps one below, at and one above the raw product's minimized size."""
+    expected = product_min(t, u)
+    size = minimal_rep(product_raw(t, u)).state_count
+    assert expected.state_count == size
+    assert _product_capped(t, u, size - 1) is None
+    assert _product_capped(t, u, size) == expected
+    assert _product_capped(t, u, size + 1) == expected
+
+
+@SETTINGS
+@given(picks, picks)
+def test_capped_product_is_none_exactly_past_the_cap(h3_pool, left, right):
+    t, u = pool_product(h3_pool, left), pool_product(h3_pool, right)
+    assert_capped_at_the_boundary(t, u)
+    assert_capped_at_the_boundary(u, t)
+
+
+@SETTINGS
+@given(picks)
+def test_capped_product_of_an_element_and_its_inverse(h3_pool, left):
+    t = pool_product(h3_pool, left)
+    assert_capped_at_the_boundary(t, invert(t))
+    assert _product_capped(t, invert(t), 1).state_count == 1
+
+
+def replaced_order(t, cap_states, cap_iters=1_000):
+    """The `order` loop before the capped product: each whole power, then its size."""
+    base = minimal_rep(t)
+    ident = tuple(range(t.alphabet_size))
+    power = base
+    for k in range(1, cap_iters + 1):
+        if power.state_count == 1 and power.output[0] == ident:
+            return k
+        power = product_min(power, base)
+        if power.state_count > cap_states:
+            return None
+    return None
+
+
+def power_sizes(t, limit):
+    base = minimal_rep(t)
+    sizes, power = [], base
+    while power.state_count <= limit and len(sizes) < 8:
+        power = product_min(power, base)
+        sizes.append(power.state_count)
+    return sizes
+
+
+def test_order_is_unchanged_at_each_power_size():
+    for name in ("h3_infinite.txt", "h3_order4.txt", "h3_4.txt"):
+        t = parse_transducer((INPUTS / name).read_text())
+        for size in power_sizes(t, 400):
+            for cap in (size - 1, size, size + 1):
+                assert order(t, cap_states=cap) == replaced_order(t, cap), (name, cap)
+
+
+def test_order_of_a_torsion_element_at_its_largest_power():
+    t = parse_transducer((INPUTS / "h3_order4.txt").read_text())
+    assert order(t, cap_states=4) == 4
+    assert order(t, cap_states=3) is None
+
+
+def test_order_minimizes_its_input_once_and_never_builds_the_power_past_the_cap(monkeypatch):
+    t = parse_transducer(H3_INFINITE.read_text())
+    minimized, built = [], []
+    machine = transducers._machine
+
+    def counted_minimize(m):
+        minimized.append(m)
+        return weak_minimize(m)
+
+    def counted_machine(n, delta, output, bound=None):
+        built.append(len(delta))
+        return machine(n, delta, output, bound)
+
+    monkeypatch.setattr(transducers, "weak_minimize", counted_minimize)
+    monkeypatch.setattr(transducers, "_machine", counted_machine)
+    assert order(t, cap_states=100) is None
+    assert len(minimized) == 1 and minimized[0] is t
+    # the powers of 15, 35 and 70 states are built; the 150-state one is not
+    assert 70 in built and max(built) <= 100
+
+
+@SETTINGS
+@given(picks)
+def test_weak_minimize_returns_a_minimal_machine_itself(h3_pool, left):
+    p = pool_product(h3_pool, left)
+    for m in (p, renumber(p), invert(p), _product_capped(p, p, 1_000)):
+        assert weak_minimize(m) is m
+
+
+@st.composite
+def permutation_machines(draw):
+    """Machines whose letters permute the states: with two or more states, none synchronizes."""
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(2, 12))
+    columns = [draw(st.permutations(range(m))) for _ in range(n)]
+    letter = st.integers(0, n - 1)
+    output = tuple(tuple(draw(st.lists(letter, min_size=n, max_size=n))) for _ in range(m))
+    return Transducer(Automaton(n, tuple(zip(*columns))), output)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_machines())
+def test_weak_minimize_matches_the_oracle_on_non_synchronizing_machines(t):
+    assert sync_level(t.base) is None
+    assert weak_minimize(t) == oracle_weak_minimize(t)
+
+
+@SETTINGS
+@given(picks, st.lists(st.tuples(st.integers(0), st.integers(0, 5)), min_size=1, max_size=6))
+def test_weak_minimize_matches_the_oracle_on_non_core_machines(h3_pool, left, feeders):
+    """A pool product with feeder states added: rows into the product, nothing into them."""
+    p = pool_product(h3_pool, left)
+    n, m = p.alphabet_size, p.state_count
+    rows = [tuple((q + x) % m for x in range(n)) for q, _ in feeders]
+    outs = [p.output[(q + shift) % m] for q, shift in feeders]
+    t = Transducer(Automaton(n, p.base.delta + tuple(rows)), p.output + tuple(outs))
+    assert not is_core(t.base)
+    assert weak_minimize(t) == oracle_weak_minimize(t)

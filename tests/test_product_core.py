@@ -26,24 +26,16 @@ from shiftfold import (
     order,
     product_min,
     product_raw,
-    quotient,
     rule_to_transducer,
     weak_minimize,
 )
 from shiftfold import transducers
 
-from conftest import h3_infinite, oracle_minimize_partition, pool_product
+from conftest import h3_infinite, oracle_weak_minimize, pool_product
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 NOT_SYNCHRONIZING = Transducer(Automaton(2, ((0, 0), (1, 1))), ((0, 1), (1, 0)))
-
-
-def oracle_weak_minimize(t):
-    part = oracle_minimize_partition(t)
-    rep = part.representatives()
-    output = tuple(t.output[rep[c]] for c in range(part.class_count))
-    return Transducer(quotient(t.base, part), output)
 
 
 def assert_minimizes_as_oracle(t):
