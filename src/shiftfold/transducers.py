@@ -11,10 +11,11 @@ behaviourally equal machines executable.
 Products are the one large-scale path (`order` forms each power of an element
 with one), so the work per state of the product walk and of the Moore
 refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.fromkeys`)
-rather than in Python loops over letters.  `order` and `subgroup_closure`
-form their elements with `_product_capped`, whose refinement stops once its
-class count passes the element cap, so a product past the cap is never fully
-minimized or built.
+rather than in Python loops over letters.  `order` walks the core of its
+small base times the last power and refines that core only once it passes
+the state cap; `subgroup_closure` forms its elements with `_product_capped`.
+Both refinements stop once the class count passes the cap, so a product past
+the cap is never fully minimized or built.
 
 Inputs are checked where they come in: the `Transducer` and `Automaton`
 constructors check every table entry, and `is_in_hn` checks group
@@ -265,9 +266,9 @@ def product_min(t: Transducer, u: Transducer) -> Transducer:
 
 
 def _product_capped(t: Transducer, u: Transducer, cap: int) -> Transducer | None:
-    """`product_min(t, u)`, or None when it has more than `cap` states.  The refinement stops
-    as soon as its class count passes `cap`, so an over-cap product is never fully
-    minimized, and no machine is built for it."""
+    """`product_min(t, u)`, or None when it has more than `cap` states: the element product
+    of `subgroup_closure`.  The refinement stops as soon as its class count passes `cap`, so
+    an over-cap product is never fully minimized, and no machine is built for it."""
     delta, output, bound = _core_tables(t, u)
     merged = _refine(delta, output, cap)
     return None if merged is None else _machine(t.alphabet_size, *merged, bound)
@@ -382,21 +383,33 @@ def apply_periodic(t: Transducer, period) -> Word:
 def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1_000) -> int | None:
     """Least k with T^k the identity under the monoid product; None past the caps.
 
-    T is minimized once, for both the membership test and the base of the powers.  Each
-    power is kept in minimal core form, so reaching the identity is a constant-time test;
-    powers of infinite-order elements grow without bound and trip the state cap instead.
-    Each power is formed by `_product_capped`, so the first power past the cap is neither
-    fully minimized nor built.
+    T is minimized once, for both the membership test and the base of the powers.  Powers
+    commute, so T^k is formed as the core of T times T^(k-1) (see `_core_tables`): the walk
+    then picks through the few rows of T per pair, not the many rows of the power.  T^k is
+    the identity exactly when every state of that core outputs the identity row, so the
+    core needs no minimizing for the test.  A core of at most `cap_states` states cannot
+    minimize past the cap, so it is kept as it is; a bigger one is refined with the cap
+    (see `_refine`), which stops once its class count passes it.  So None still means that
+    some minimal power up to the identity has more than `cap_states` states, and powers of
+    infinite-order elements, which grow without bound, trip it.  A cap above
+    `ELEMENT_STATE_CAP` is refused before any product is formed.
     """
+    if cap_states > ELEMENT_STATE_CAP:
+        raise ValueError(f"order state cap {cap_states} exceeds the limit of {ELEMENT_STATE_CAP}")
     base = _hn_minimized(t)
     if base is None:
         raise ValueError("order is defined only for invertible bisynchronizing machines")
-    ident = tuple(range(t.alphabet_size))
-    power = base
+    n = t.alphabet_size
+    ident = tuple(range(n))
+    power, output = base, base.output
     for k in range(1, cap_iters + 1):
-        if power.state_count == 1 and power.output[0] == ident:
+        if all(row == ident for row in output):
             return k
-        power = _product_capped(power, base, cap_states)
-        if power is None:
-            return None
+        delta, output, bound = _core_tables(base, power)
+        if len(output) > cap_states:
+            merged = _refine(delta, output, cap_states)
+            if merged is None:
+                return None
+            delta, output = merged
+        power = _machine(n, delta, output, bound)
     return None

@@ -1,20 +1,22 @@
-"""The capped product that `order` and `subgroup_closure` form their elements with.
+"""Capped products: `subgroup_closure`'s element product and `order`'s powers.
 
 `transducers._product_capped(t, u, cap)` is `product_min(t, u)`, or None when
 that product has more than `cap` states.  Its refinement stops as soon as the
 class count passes the cap, and the count never falls from round to round, so
 None must come exactly when the minimized product is over the cap, at the
 boundary too.  `order` minimizes its input once, for both the membership test
-and the base of its powers, and never builds the machine of the power that
-trips the cap; at every cap it must answer as the loop it replaced, which
-formed each whole power with `product_min`.  The refinement behind
-`weak_minimize` must still match the two-partition oracle on machines that are
-not core or do not synchronize, and return a minimal machine itself.
+and the base of its powers.  It walks each power as the core of the base times
+the last power, refines that core only once it has more states than the cap,
+and never builds the machine of the power that trips the cap.  At every cap,
+on golden inputs and on random H_3 products, it must answer as the loop it
+replaced, which formed each whole power with `product_min`.  The refinement
+behind `weak_minimize` must still match the two-partition oracle on machines
+that are not core or do not synchronize, and return a minimal machine itself.
 """
 
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftfold import (
@@ -90,12 +92,20 @@ def power_sizes(t, limit):
     return sizes
 
 
-def test_order_is_unchanged_at_each_power_size():
-    for name in ("h3_infinite.txt", "h3_order4.txt", "h3_4.txt"):
-        t = parse_transducer((INPUTS / name).read_text())
-        for size in power_sizes(t, 400):
-            for cap in (size - 1, size, size + 1):
-                assert order(t, cap_states=cap) == replaced_order(t, cap), (name, cap)
+@SETTINGS
+@given(picks)
+@example("h3_infinite.txt")
+@example("h3_order4.txt")
+@example("h3_4.txt")
+def test_order_is_unchanged_at_each_power_size(h3_pool, source):
+    """Golden inputs by name, then random H_3 products, torsion and of infinite order."""
+    if isinstance(source, str):
+        t = parse_transducer((INPUTS / source).read_text())
+    else:
+        t = pool_product(h3_pool, source)
+    for size in power_sizes(t, 400):
+        for cap in (size - 1, size, size + 1):
+            assert order(t, cap_states=cap) == replaced_order(t, cap), (source, cap)
 
 
 def test_order_of_a_torsion_element_at_its_largest_power():
@@ -123,6 +133,29 @@ def test_order_minimizes_its_input_once_and_never_builds_the_power_past_the_cap(
     assert len(minimized) == 1 and minimized[0] is t
     # the powers of 15, 35 and 70 states are built; the 150-state one is not
     assert 70 in built and max(built) <= 100
+
+
+def test_order_refines_only_the_first_core_past_the_cap(monkeypatch):
+    """A core of at most `cap_states` states is never refined: the only refinements are the
+    input's own minimization and the one of the first core past the cap."""
+    t = parse_transducer(H3_INFINITE.read_text())
+    cores, refined = [], []
+    core_tables, refine = transducers._core_tables, transducers._refine
+
+    def counted_core_tables(a, b):
+        tables = core_tables(a, b)
+        cores.append(len(tables[1]))
+        return tables
+
+    def counted_refine(delta, output, cap):
+        refined.append(len(output))
+        return refine(delta, output, cap)
+
+    monkeypatch.setattr(transducers, "_core_tables", counted_core_tables)
+    monkeypatch.setattr(transducers, "_refine", counted_refine)
+    assert order(t, cap_states=100) is None
+    assert max(cores[:-1]) <= 100 < cores[-1]
+    assert refined == [t.state_count, cores[-1]]
 
 
 @SETTINGS

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftfold import de_bruijn, decompose, shift_transducer, single_state
+from shiftfold import de_bruijn, decompose, order, shift_transducer, single_state
 from shiftfold.cli import main
 from shiftfold.formats import (
     parse_automaton,
@@ -18,6 +18,7 @@ from shiftfold.formats import (
     render_transducer,
 )
 from shiftfold.rules import shift_rule
+from shiftfold.transducers import ELEMENT_STATE_CAP
 
 from conftest import h3_infinite
 
@@ -386,6 +387,31 @@ def test_huge_rule_window_is_refused_without_forming_the_power(tmp_path):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: table needs more than 2 entries (line 2)\n"
+
+
+def test_order_refuses_a_state_cap_past_the_element_limit():
+    """`--cap` sets both of `order`'s caps; past `ELEMENT_STATE_CAP` states it is refused
+    before any power is formed, where it used to form powers of an infinite-order element
+    without bound."""
+    path = Path(__file__).parent / "golden" / "inputs" / "h3_infinite.txt"
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", "order", str(path), "--cap", "99999999999999999999"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: order state cap 99999999999999999999 exceeds the limit of {ELEMENT_STATE_CAP}\n"
+    )
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        order(h3_infinite(), cap_states=ELEMENT_STATE_CAP + 1)
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
