@@ -1,7 +1,8 @@
 """Command-line workbench.
 
 Exit codes: 0 success, 1 negative verdict (for example `check-hn` on a
-machine outside the group), 2 usage or parse errors, 3 a cap was exceeded.
+machine outside the group), 2 usage or parse errors or a file that cannot be
+read or written, 3 a cap was exceeded.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def _load_transducer(path: str) -> Transducer:
     return parse_transducer(_read(path))
 
@@ -71,7 +79,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write(out, text)
 
 
 def cmd_debruijn(args) -> int:
@@ -156,9 +164,12 @@ def cmd_decompose(args) -> int:
     t = _load_transducer(args.file)
     result = decompose_involutions(t) if args.involutions else decompose(t)
     outdir = Path(args.output) if args.output else Path(Path(args.file).stem + ".factors")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {outdir}: {exc}") from None
 
-    (outdir / "remainder.txt").write_text(render_transducer(result.remainder))
+    _write(outdir / "remainder.txt", render_transducer(result.remainder))
     lines = [f"factorization of {args.file}"]
     lines.append(f"remainder: remainder.txt order={order(result.remainder)}")
     sources = [
@@ -168,7 +179,7 @@ def cmd_decompose(args) -> int:
     ]
     for idx, (step, factor) in enumerate(zip(sources, result.inverse_factors), start=1):
         name = f"factor_{idx:02d}.txt"
-        (outdir / name).write_text(render_transducer(factor))
+        _write(outdir / name, render_transducer(factor))
         lines.append(
             f"factor {idx}: {name} order={order(factor)}"
             f" level={step.level_i} pair={step.pair}"
@@ -177,7 +188,7 @@ def cmd_decompose(args) -> int:
     ok = verify(result)
     lines.append(f"verified: {'true' if ok else 'false'}")
     manifest = "\n".join(lines) + "\n"
-    (outdir / "manifest.txt").write_text(manifest)
+    _write(outdir / "manifest.txt", manifest)
     sys.stdout.write(manifest)
     return 0 if ok else 1
 
@@ -208,6 +219,8 @@ def _bell(k: int) -> int:
 
 def cmd_fold_count(args) -> int:
     if args.m == 1:
+        if args.n < 1:
+            raise ValueError("alphabet size must be at least 1")
         value = _bell(args.n)
     elif args.m == 2:
         value = counting.count_foldings_g_n_2(args.n)

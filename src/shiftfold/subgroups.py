@@ -36,13 +36,13 @@ from .digraph_aut import (
 from .transducers import (
     ELEMENT_STATE_CAP,
     Transducer,
-    _product_capped,
     canonical_key,
     canonical_rep,
     equal_omega,
     identity_transducer,
     invert,
     is_in_hn,
+    product_min,
     renumber,
 )
 
@@ -117,10 +117,10 @@ class SubgroupClosure:
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     """The subgroup generated by `gens`: breadth first from the identity by right products
     with each distinct generator and inverse, by state count then key.  The one search refuses
-    past `cap` elements or at a product past `ELEMENT_STATE_CAP` states (`order`'s cap), as
-    torsion generators of an infinite group reach; such a product is formed by the capped
-    product, so it is neither fully minimized nor built, let alone canonicalized.  Elements are
-    keyed by canonical representatives, identical exactly when the elements are equal."""
+    past `cap` elements or at a product past `ELEMENT_STATE_CAP` states, as torsion generators
+    of an infinite group reach; each product is a whole `product_min`, and one past the state
+    cap is refused before it is canonicalized.  Elements are keyed by canonical
+    representatives, identical exactly when the elements are equal."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -134,8 +134,8 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
 
     def successors(t: Transducer):
         for s in steps:
-            product = _product_capped(t, s, ELEMENT_STATE_CAP)
-            if product is None:
+            product = product_min(t, s)
+            if product.state_count > ELEMENT_STATE_CAP:
                 raise CapExceededError("subgroup closure cap exceeded")
             yield renumber(product)
 

@@ -13,9 +13,10 @@ with one), so the work per state of the product walk and of the Moore
 refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.fromkeys`)
 rather than in Python loops over letters.  `order` walks the core of its
 small base times the last power and refines that core only once it passes
-the state cap; `subgroup_closure` forms its elements with `_product_capped`.
-Both refinements stop once the class count passes the cap, so a product past
-the cap is never fully minimized or built.
+the state cap, with a refinement that stops once the class count passes the
+cap, so a power past it is never fully minimized or built.  That cap is
+`order`'s alone: every other product, `subgroup_closure`'s included, is a
+whole `product_min`.
 
 Inputs are checked where they come in: the `Transducer` and `Automaton`
 constructors check every table entry, and `is_in_hn` checks group
@@ -46,7 +47,7 @@ from .automata import (
     sync_level,
 )
 
-# Largest element, in states, that `order` and `subgroup_closure` will form.
+# Largest element, in states, that `order` and `subgroup_closure` accept.
 ELEMENT_STATE_CAP = 10_000
 
 
@@ -263,15 +264,6 @@ def product_min(t: Transducer, u: Transducer) -> Transducer:
     u))` gives.  It carries the sum of its operands' sync-level bounds as its own bound."""
     delta, output, bound = _core_tables(t, u)
     return weak_minimize(_machine(t.alphabet_size, delta, output, bound))
-
-
-def _product_capped(t: Transducer, u: Transducer, cap: int) -> Transducer | None:
-    """`product_min(t, u)`, or None when it has more than `cap` states: the element product
-    of `subgroup_closure`.  The refinement stops as soon as its class count passes `cap`, so
-    an over-cap product is never fully minimized, and no machine is built for it."""
-    delta, output, bound = _core_tables(t, u)
-    merged = _refine(delta, output, cap)
-    return None if merged is None else _machine(t.alphabet_size, *merged, bound)
 
 
 def is_invertible(t: Transducer) -> bool:

@@ -1,17 +1,19 @@
-"""Capped products: `subgroup_closure`'s element product and `order`'s powers.
+"""Capped refinement: how `order` forms its powers.
 
-`transducers._product_capped(t, u, cap)` is `product_min(t, u)`, or None when
-that product has more than `cap` states.  Its refinement stops as soon as the
-class count passes the cap, and the count never falls from round to round, so
-None must come exactly when the minimized product is over the cap, at the
-boundary too.  `order` minimizes its input once, for both the membership test
-and the base of its powers.  It walks each power as the core of the base times
-the last power, refines that core only once it has more states than the cap,
-and never builds the machine of the power that trips the cap.  At every cap,
-on golden inputs and on random H_3 products, it must answer as the loop it
-replaced, which formed each whole power with `product_min`.  The refinement
-behind `weak_minimize` must still match the two-partition oracle on machines
-that are not core or do not synchronize, and return a minimal machine itself.
+`transducers._refine(delta, output, cap)` on the tables `_core_tables(t, u)`
+builds is the tables of `product_min(t, u)`, or None when that product has
+more than `cap` states.  The refinement stops as soon as the class count
+passes the cap, and the count never falls from round to round, so None must
+come exactly when the minimized product is over the cap, at the boundary too.
+`order` is the one caller with a cap below the size of the tables it refines.
+It minimizes its input once, for both the membership test and the base of its
+powers.  It walks each power as the core of the base times the last power,
+refines that core only once it has more states than the cap, and never builds
+the machine of the power that trips the cap.  At every cap, on golden inputs
+and on random H_3 products, it must answer as the loop it replaced, which
+formed each whole power with `product_min`.  The refinement behind
+`weak_minimize` must still match the two-partition oracle on machines that
+are not core or do not synchronize, and return a minimal machine itself.
 """
 
 from pathlib import Path
@@ -33,7 +35,7 @@ from shiftfold import (
 )
 from shiftfold import transducers
 from shiftfold.formats import parse_transducer
-from shiftfold.transducers import _product_capped, renumber
+from shiftfold.transducers import _core_tables, _refine, renumber
 
 from conftest import H3_INFINITE, oracle_weak_minimize, pool_product
 
@@ -43,14 +45,21 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
 picks = st.lists(st.integers(min_value=0), min_size=1, max_size=3)
 
 
+def refined(t, u, cap):
+    """The core tables of T times U refined with `cap`, as `order` refines a power."""
+    delta, output, _ = _core_tables(t, u)
+    return _refine(delta, output, cap)
+
+
 def assert_capped_at_the_boundary(t, u):
     """Caps one below, at and one above the raw product's minimized size."""
     expected = product_min(t, u)
     size = minimal_rep(product_raw(t, u)).state_count
     assert expected.state_count == size
-    assert _product_capped(t, u, size - 1) is None
-    assert _product_capped(t, u, size) == expected
-    assert _product_capped(t, u, size + 1) == expected
+    tables = (expected.base.delta, expected.output)
+    assert refined(t, u, size - 1) is None
+    assert refined(t, u, size) == tables
+    assert refined(t, u, size + 1) == tables
 
 
 @SETTINGS
@@ -66,7 +75,8 @@ def test_capped_product_is_none_exactly_past_the_cap(h3_pool, left, right):
 def test_capped_product_of_an_element_and_its_inverse(h3_pool, left):
     t = pool_product(h3_pool, left)
     assert_capped_at_the_boundary(t, invert(t))
-    assert _product_capped(t, invert(t), 1).state_count == 1
+    _, output = refined(t, invert(t), 1)
+    assert len(output) == 1
 
 
 def replaced_order(t, cap_states, cap_iters=1_000):
@@ -162,7 +172,7 @@ def test_order_refines_only_the_first_core_past_the_cap(monkeypatch):
 @given(picks)
 def test_weak_minimize_returns_a_minimal_machine_itself(h3_pool, left):
     p = pool_product(h3_pool, left)
-    for m in (p, renumber(p), invert(p), _product_capped(p, p, 1_000)):
+    for m in (p, renumber(p), invert(p), product_min(p, p)):
         assert weak_minimize(m) is m
 
 

@@ -20,7 +20,7 @@ from shiftfold.formats import (
 from shiftfold.rules import shift_rule
 from shiftfold.transducers import ELEMENT_STATE_CAP
 
-from conftest import h3_infinite
+from conftest import H3_INFINITE, h3_infinite
 
 
 def bell_refusal(k: str) -> str:
@@ -117,6 +117,13 @@ def test_check_hn_verdicts(fig_file, tmp_path, capsys):
     shift = tmp_path / "shift.txt"
     shift.write_text(render_transducer(shift_transducer(2)))
     code, out = run(capsys, "check-hn", str(shift))
+    assert code == 1
+    assert out == "in-hn: false\n"
+
+    # invertible and synchronizing, but its inverse does not synchronize
+    swap = tmp_path / "swap.txt"
+    swap.write_text("transducer n=2 states=2\nstate 0: 0 1 | 0 1\nstate 1: 0 1 | 1 0\n")
+    code, out = run(capsys, "check-hn", str(swap))
     assert code == 1
     assert out == "in-hn: false\n"
 
@@ -242,6 +249,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _ = run(capsys, "sync", "no-such-file.txt")
     assert code == 2
+
+
+def test_unwritable_output_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code = main(["debruijn", "2", "2", "-o", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_decompose_into_a_regular_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "taken.txt"
+    target.write_text("kept\n")
+    code = main(["decompose", str(H3_INFINITE), "-o", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert target.read_text() == "kept\n"
 
 
 def test_cap_exit_code(fig_file, capsys):
@@ -416,10 +443,11 @@ def test_order_refuses_a_state_cap_past_the_element_limit():
 
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_fold_count_rejects_a_non_positive_alphabet(n, capsys):
-    code = main(["fold-count", n, "2"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: alphabet size must be at least 1\n"
+    for m in ("1", "2"):
+        code = main(["fold-count", n, m])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", m
+        assert captured.err == "error: alphabet size must be at least 1\n", m
 
 
 @pytest.mark.parametrize("command", ["decompose", "subgroup-ag"])

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, every
-module-level private function or constant is used somewhere in the package,
-and every method or property of a library class is read somewhere.
+"""Every name a library module imports is used in that module, no module
+imports another module's private name, every module-level private function or
+constant is used somewhere in the package, and every method or property of a
+library class is read somewhere.
 
 `__init__.py` is left out of the import check: its imports are the package's
 public names.  A private name counts as used only when some statement other
@@ -43,6 +44,41 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from .automata import CapExceededError, quotient\nimport os.path\nquotient()\n"
     assert unused_imports(source) == ["line 1: CapExceededError", "line 2: os"]
+
+
+# The one private name shared across modules: the constructor for tables the library built.
+SHARED_PRIVATE = {("automata", "_trusted")}
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Underscore-prefixed names imported from another `shiftfold` module."""
+    found = []
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                package, _, module = module.partition(".")
+                if package != "shiftfold":
+                    continue
+            for alias in node.names:
+                if alias.name.startswith("_") and (module, alias.name) not in SHARED_PRIVATE:
+                    found.append(f"{filename} line {node.lineno}: {alias.name}")
+    return found
+
+
+def test_no_private_names_imported_across_modules():
+    assert private_imports({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_private_import_is_reported():
+    sources = {
+        "a.py": "from .automata import _trusted, quotient\nfrom .transducers import _refine\n",
+        "b.py": "from shiftfold.automata import _trusted\nfrom shiftfold import _hidden\n",
+        "c.py": "from __future__ import annotations\nfrom os import _exit\n",
+    }
+    assert private_imports(sources) == ["a.py line 2: _refine", "b.py line 2: _hidden"]
 
 
 def defined_names(node) -> list[str]:

@@ -6,6 +6,7 @@ import pytest
 
 from shiftfold import (
     CapExceededError,
+    ChoiceDependenceError,
     canonical_key,
     canonical_rep,
     de_bruijn,
@@ -31,6 +32,8 @@ from shiftfold import subgroups
 from shiftfold.digraph_aut import compose_automorphisms
 from shiftfold.transducers import ELEMENT_STATE_CAP, renumber
 from shiftfold.formats import parse_transducer
+
+from conftest import h3_infinite
 
 H3_INFINITE = Path(__file__).resolve().parent / "golden" / "inputs" / "h3_infinite.txt"
 
@@ -92,6 +95,11 @@ def test_w_word_rejects_short_input(fig_transducer):
         w_word(fig_transducer, "0")
 
 
+def test_w_word_refuses_a_choice_dependent_forced_state():
+    with pytest.raises(ChoiceDependenceError, match="forced state depends on the state choice"):
+        w_word(h3_infinite(), (2, 2, 2))
+
+
 def test_subgroup_closure_identity():
     g = subgroup_closure([identity_transducer(2)])
     assert len(g.elements) == 1
@@ -113,6 +121,10 @@ def test_subgroup_closure_cyclic():
 def test_subgroup_closure_rejects_outsiders():
     with pytest.raises(ValueError):
         subgroup_closure([shift_transducer(2)])
+    with pytest.raises(ValueError, match="at least one generator is required"):
+        subgroup_closure([])
+    with pytest.raises(ValueError, match="generators must share one alphabet"):
+        subgroup_closure([single_state((1, 0)), single_state((1, 2, 0))])
 
 
 def test_subgroup_closure_cap(fig_automaton):

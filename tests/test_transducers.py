@@ -26,7 +26,7 @@ from shiftfold import (
     weak_minimize,
 )
 
-from conftest import oracle_minimize_partition
+from conftest import oracle_minimize_partition, random_h3_elements
 
 
 def test_shift_transducer_tables():
@@ -35,6 +35,16 @@ def test_shift_transducer_tables():
     assert t.base.delta == ((0, 1), (0, 1))
     assert t.output == ((0, 0), (1, 1))
     assert sync_level(t.base) == 1
+
+
+def test_constructor_refuses_bad_tables():
+    base = Automaton(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="output table does not match state count"):
+        Transducer(base, ((0, 1),))
+    with pytest.raises(ValueError, match="state 1: output row has wrong length"):
+        Transducer(base, ((0, 1), (1,)))
+    with pytest.raises(ValueError, match="state 0: output letter 2 out of range"):
+        Transducer(base, ((0, 2), (1, 0)))
 
 
 def test_shift_not_invertible():
@@ -132,7 +142,8 @@ def test_invert_requires_permutation_rows():
 
 
 def test_double_inversion_is_isomorphic(h3_pool):
-    for t in h3_pool[:20]:
+    for t in h3_pool[:20] + random_h3_elements(h3_pool, 25, seed=51, max_factors=4):
+        assert invert(invert(t)) == t
         assert canonical_key(invert(invert(t))) == canonical_key(t)
 
 
@@ -144,6 +155,14 @@ def test_bisync_levels_fig(fig_transducer):
 def test_bisync_levels_one_state():
     assert bisync_levels(single_state((1, 0))) == (0, 0)
     assert bisync_levels(shift_transducer(2)) is None
+
+
+def test_bisync_levels_of_a_machine_whose_inverse_does_not_synchronize():
+    t = Transducer(Automaton(2, ((0, 1), (0, 1))), ((0, 1), (1, 0)))
+    assert is_invertible(t) and sync_level(t.base) == 1
+    assert sync_level(invert(t).base) is None
+    assert bisync_levels(t) is None
+    assert not is_in_hn(t)
 
 
 def test_equal_omega_respects_renaming(fig_transducer):
@@ -165,11 +184,12 @@ def test_equal_omega_respects_renaming(fig_transducer):
 
 def test_equal_omega_distinguishes_single_states():
     assert not equal_omega(single_state((0, 1)), single_state((1, 0)))
+    assert not equal_omega(single_state((0, 1)), single_state((0, 1, 2)))
 
 
 def test_product_min_group_laws(h3_pool):
     ident = identity_transducer(3)
-    for t in h3_pool[:15]:
+    for t in h3_pool[:15] + random_h3_elements(h3_pool, 25, seed=52, max_factors=4):
         assert equal_omega(product_min(t, invert(t)), ident)
         assert equal_omega(product_min(invert(t), t), ident)
         assert equal_omega(product_min(t, ident), t)
@@ -178,11 +198,13 @@ def test_product_min_group_laws(h3_pool):
 
 def test_product_min_associative(h3_pool):
     rng = random.Random(5)
-    for _ in range(15):
-        a, b, c = (rng.choice(h3_pool) for _ in range(3))
-        left = product_min(product_min(a, b), c)
-        right = product_min(a, product_min(b, c))
-        assert equal_omega(left, right)
+    products = random_h3_elements(h3_pool, 25, seed=53, max_factors=4)
+    for elements in (h3_pool, products):
+        for _ in range(15):
+            a, b, c = (rng.choice(elements) for _ in range(3))
+            left = product_min(product_min(a, b), c)
+            right = product_min(a, product_min(b, c))
+            assert equal_omega(left, right)
 
 
 def test_sync_levels_add(h3_pool):
