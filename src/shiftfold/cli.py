@@ -162,8 +162,15 @@ def cmd_haphi(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = _load_transducer(args.file)
-    result = decompose_involutions(t) if args.involutions else decompose(t)
     outdir = Path(args.output) if args.output else Path(Path(args.file).stem + ".factors")
+    # a target that is, or lies under, a non-directory is refused before the factorization
+    # runs, and without creating a directory
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ParseError(f"cannot write {outdir}: {path} is not a directory")
+            break
+    result = decompose_involutions(t) if args.involutions else decompose(t)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

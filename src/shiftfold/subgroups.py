@@ -6,11 +6,16 @@ forced-state word: feeding the word through successive states keeps replacing
 it by its output image, and the forced states repeat.  Grouping words with
 equal forced-state words for every element of G yields the automaton A(G), on
 which G acts by vertex/edge maps recovering each element exactly.
+
+G itself is listed by `subgroup_closure`, a coset search over the generators
+alone (Dimino's algorithm): each new generator adds the right cosets of the
+group found so far, one product per element, and no inverse is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .automata import (
     Automaton,
@@ -22,7 +27,6 @@ from .automata import (
     is_folding,
     parse_word,
     quotient,
-    reachable,
     require_sync_level,
     sync_level,
     sync_map,
@@ -40,7 +44,6 @@ from .transducers import (
     canonical_rep,
     equal_omega,
     identity_transducer,
-    invert,
     is_in_hn,
     product_min,
     renumber,
@@ -115,11 +118,15 @@ class SubgroupClosure:
 
 
 def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
-    """The subgroup generated by `gens`: breadth first from the identity by right products
-    with each distinct generator and inverse, by state count then key.  The one search refuses
-    past `cap` elements or at a product past `ELEMENT_STATE_CAP` states, as torsion generators
-    of an infinite group reach; each product is a whole `product_min`, and one past the state
-    cap is refused before it is canonicalized.  Elements are keyed by canonical
+    """The subgroup generated by `gens`, listed coset by coset (Dimino's algorithm).
+
+    A distinct generator g outside the group H found so far adds the right coset H·g; each
+    new coset representative is multiplied on the right by every generator taken so far, and
+    a product outside the group brings in its whole coset, disjoint from the group.  Inverses
+    are never formed (in a finite group an inverse is a positive power), so an infinite group
+    is refused past `cap` elements, the identity counted, or at an element past
+    `ELEMENT_STATE_CAP` states, as torsion generators of an infinite group reach; a product
+    past that cap is refused before it is canonicalized.  Elements are keyed by canonical
     representatives, identical exactly when the elements are equal."""
     gens = tuple(gens)
     if not gens:
@@ -130,19 +137,40 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
             raise ValueError("generators must share one alphabet")
         if not is_in_hn(g):
             raise ValueError("generators must be invertible and bisynchronizing")
-    steps = dict.fromkeys(canonical_rep(s) for s in gens + tuple(invert(g) for g in gens))
 
-    def successors(t: Transducer):
-        for s in steps:
-            product = product_min(t, s)
-            if product.state_count > ELEMENT_STATE_CAP:
+    def times(t: Transducer, u: Transducer) -> Transducer:
+        product = product_min(t, u)
+        if product.state_count > ELEMENT_STATE_CAP:
+            raise CapExceededError("subgroup closure cap exceeded")
+        return renumber(product)
+
+    group: dict[Transducer, None] = {}  # insertion ordered, so the identity comes first
+    used: list[Transducer] = []
+
+    def add_coset(subgroup, r: Transducer) -> None:
+        """Admit the right coset H·r, with H listed without its identity."""
+        for t in chain((r,), (times(h, r) for h in subgroup)):
+            if len(group) >= cap:
                 raise CapExceededError("subgroup closure cap exceeded")
-            yield renumber(product)
+            group[t] = None
 
-    identity = canonical_rep(identity_transducer(n))
-    found = reachable(identity, successors, lambda t: t, cap, "subgroup closure")
-    elements = [t for _, t in found]
-    ordered = tuple(sorted(elements, key=lambda t: (t.state_count, canonical_key(t))))
+    add_coset((), canonical_rep(identity_transducer(n)))
+    for g in dict.fromkeys(map(canonical_rep, gens)):
+        if g.state_count > ELEMENT_STATE_CAP:
+            raise CapExceededError("subgroup closure cap exceeded")
+        if g in group:
+            continue
+        subgroup = list(group)[1:]
+        used.append(g)
+        reps = [g]
+        add_coset(subgroup, g)
+        for r in reps:  # grows while it is read
+            for s in used:
+                t = times(r, s)
+                if t not in group:
+                    reps.append(t)
+                    add_coset(subgroup, t)
+    ordered = tuple(sorted(group, key=lambda t: (t.state_count, canonical_key(t))))
     return SubgroupClosure(ordered, max(sync_level(t.base) for t in ordered))
 
 

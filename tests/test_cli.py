@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from shiftfold import de_bruijn, decompose, order, shift_transducer, single_state
+from shiftfold import cli
 from shiftfold.cli import main
 from shiftfold.formats import (
     parse_automaton,
@@ -269,6 +270,40 @@ def test_decompose_into_a_regular_file_exit_code(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert captured.err.count("\n") == 1
     assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--involutions"]], ids=["steps", "involutions"])
+@pytest.mark.parametrize("below", [(), ("sub", "out")], ids=["file", "under_file"])
+def test_decompose_refuses_a_regular_file_before_factorizing(tmp_path, capsys, monkeypatch, flags, below):
+    """The output target, or an ancestor of it, is a regular file: refused before any
+    factorization runs, with no directory created and the file left as it was."""
+
+    def never(t):
+        raise AssertionError("factorized before the output target was checked")
+
+    monkeypatch.setattr(cli, "decompose", never)
+    monkeypatch.setattr(cli, "decompose_involutions", never)
+    taken = tmp_path / "taken.txt"
+    taken.write_text("kept\n")
+    target = taken.joinpath(*below)
+    code = main(["decompose", str(H3_INFINITE), "-o", str(target), *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert taken.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def test_decompose_of_a_refused_input_creates_no_directory(tmp_path, capsys):
+    """`decompose` refuses a machine outside H_n; its output directory is never made."""
+    path = tmp_path / "shift.txt"
+    path.write_text(render_transducer(shift_transducer(2)))
+    target = tmp_path / "new" / "out"
+    code = main(["decompose", str(path), "-o", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
 
 
 def test_cap_exit_code(fig_file, capsys):

@@ -10,6 +10,7 @@ from shiftfold import (
     canonical_key,
     canonical_rep,
     de_bruijn,
+    decompose,
     dual_read,
     enumerate_automorphisms,
     equal_omega,
@@ -181,6 +182,93 @@ def test_subgroup_closure_matches_two_sided_reference(foldings_32):
         assert set(keys) == two_sided_closure_keys(gens)
 
 
+def _whole_automorphism_groups(foldings):
+    """Per G(3,2) folding, every automorphism of the quotient glued into a transducer,
+    the identity automorphism included."""
+    g = de_bruijn(3, 2)
+    for part in foldings:
+        a = quotient(g, part)
+        yield [transducer_from_automorphism(a, phi) for phi in enumerate_automorphisms(a)]
+
+
+def test_subgroup_closure_of_whole_automorphism_groups(foldings_32):
+    """All of Aut(A) as generators, in order, reversed, with duplicates and with the
+    identity added, gives the reference closure every time."""
+    ident = identity_transducer(3)
+    orders = set()
+    for gens in _whole_automorphism_groups(foldings_32):
+        expected = two_sided_closure_keys(gens)
+        orders.add(len(expected))
+        for variant in (gens, gens[::-1], gens + gens[::2], [ident] + gens + [ident]):
+            keys = [canonical_key(t) for t in subgroup_closure(variant).elements]
+            assert len(set(keys)) == len(keys)
+            assert set(keys) == expected
+    assert orders == {1, 2, 3, 4, 6, 8, 16}
+
+
+def test_subgroup_closure_admits_exactly_cap_elements(foldings_32):
+    """The element cap counts the identity: a group of order 16 passes at cap 16 only."""
+    gens = next(gens for gens in _whole_automorphism_groups(foldings_32) if len(gens) == 16)
+    assert len(subgroup_closure(gens, cap=16).elements) == 16
+    with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
+        subgroup_closure(gens, cap=15)
+
+
+def test_subgroup_closure_forms_at_most_two_products_per_element(foldings_32, monkeypatch):
+    """Coset enumeration forms about one product per element: at most 2|G| with all of
+    Aut(A) as generators, although there are |G| of them."""
+    calls = []
+
+    def counted(t, u):
+        calls.append(None)
+        return product_min(t, u)
+
+    monkeypatch.setattr(subgroups, "product_min", counted)
+    orders = set()
+    for gens in _whole_automorphism_groups(foldings_32):
+        calls.clear()
+        size = len(subgroup_closure(gens).elements)
+        assert len(calls) <= 2 * size
+        orders.add(size)
+    assert max(orders) == 16
+
+
+@pytest.fixture(scope="module")
+def h3_infinite_factors():
+    f = decompose(h3_infinite())
+    named = {f"factor_{i:02d}": t for i, t in enumerate(f.inverse_factors, start=1)}
+    return {"remainder": f.remainder, **named}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("remainder", "factor_04"),
+        ("factor_03", "factor_04"),
+        ("factor_01", "factor_04"),
+        ("remainder", "factor_01"),
+        ("factor_02", "factor_04"),
+    ],
+    ids="+".join,
+)
+def test_torsion_pairs_are_refused_by_the_state_cap(h3_infinite_factors, monkeypatch, pair):
+    """Pairs from the decomposition of an infinite-order element (named as `decompose -o`
+    names its files) generate infinite groups; the closure refuses each at a product past
+    `ELEMENT_STATE_CAP` states, before the default 512 elements are admitted."""
+    sizes = []
+
+    def sized(t, u):
+        product = product_min(t, u)
+        sizes.append(product.state_count)
+        return product
+
+    monkeypatch.setattr(subgroups, "product_min", sized)
+    with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
+        subgroup_closure([h3_infinite_factors[name] for name in pair])
+    assert sizes[-1] > ELEMENT_STATE_CAP  # the refusal came at the last product, past the cap
+
+
 def test_subgroup_closure_cap_on_infinite_element():
     h = parse_transducer(H3_INFINITE.read_text())
     with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
@@ -209,6 +297,14 @@ def test_subgroup_closure_refuses_a_big_element_before_canonicalizing(monkeypatc
     with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
         subgroup_closure([h], cap=20)
     assert seen and max(seen) <= 100
+
+
+def test_subgroup_closure_refuses_a_generator_past_the_state_cap(fig_transducer, monkeypatch):
+    """A generator is an element too: the 3-state involution is refused at a 2-state cap,
+    although its only product, its square, is the 1-state identity."""
+    monkeypatch.setattr(subgroups, "ELEMENT_STATE_CAP", 2)
+    with pytest.raises(CapExceededError, match="subgroup closure cap exceeded"):
+        subgroup_closure([fig_transducer])
 
 
 def test_subgroup_automaton_trivial():
