@@ -284,23 +284,13 @@ def require_sync_level(a: Automaton, what: str = "automaton", core: bool = False
 
 
 def sync_map(a: Automaton, w) -> int:
-    """The state forced by w.
-
-    Walks the image of the whole state set one letter at a time; w forces a
-    state when that image ends as a single state, which every word of length
-    at least the sync level achieves.
-    """
+    """The state forced by w: every word of length at least the sync level drives
+    every state to it, so it is the end of one run from state 0."""
     k = require_sync_level(a)
     word = parse_word(w, a.alphabet_size)
     if len(word) < k:
         raise ValueError(f"word of length {len(word)} cannot force a state at level {k}")
-    delta = a.delta
-    targets = set(range(a.state_count))
-    for c in word:
-        targets = {delta[q][c] for q in targets}
-    if len(targets) != 1:
-        raise AssertionError("forced state is not unique; sync_level is inconsistent")
-    return targets.pop()
+    return a.run(word, 0)
 
 
 def forced_states(a: Automaton, level: int | None = None) -> list[int]:

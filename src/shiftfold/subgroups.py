@@ -1,11 +1,19 @@
 """Finite subgroups realized as automorphism groups of one synchronizing automaton.
 
 For a finite subgroup G and k the largest minimal synchronizing level of its
-elements, each length-k word determines, per element H, a periodic
-forced-state word: feeding the word through successive states keeps replacing
-it by its output image, and the forced states repeat.  Grouping words with
-equal forced-state words for every element of G yields the automaton A(G), on
-which G acts by vertex/edge maps recovering each element exactly.
+elements, each element h forces a state of its base from every length-k word.
+Grouping the words by the tuple of states that the elements of G force yields
+the automaton A(G), on which G acts by vertex/edge maps recovering each element
+exactly.
+
+This is the grouping by the periodic forced-state words of `w_word` (feed a
+word through successive states, replace it by its output image, and record the
+forced states).  A w-word starts with the forced state, so words with equal
+w-words force equal states in every element.  Conversely, the minimal machine
+of h^(j+1), also in G, forces from w the class of the states that h passes
+through on the first j+1 images of w; each state of a group element permutes
+the words of each length and a minimal machine has no two equivalent states,
+so equal forced states in h, ..., h^(j+1) give equal j-th w-word entries.
 
 G itself is listed by `subgroup_closure`, a coset search over the generators
 alone (Dimino's algorithm): each new generator adds the right cosets of the
@@ -24,7 +32,6 @@ from .automata import (
     all_words,
     de_bruijn,
     forced_states,
-    is_folding,
     parse_word,
     quotient,
     require_sync_level,
@@ -179,30 +186,30 @@ def subgroup_automaton(
 ) -> tuple[Automaton, dict[Transducer, DigraphAutomorphism]]:
     """The automaton A(G) plus the automorphism realizing each element.
 
-    Transitions read a letter by dropping the oldest letter of the class
-    words; edge maps read each element's level-k `forced_states` table.
-    Well-definedness is asserted (never silently patched), as is exact
-    recovery of every element from its automorphism.
+    The states are the classes of length-k words with equal tuples of forced
+    states, one level-k `forced_states` table per element of G; the module
+    docstring shows that this is the grouping by `w_word` tuples.  Each
+    element's partition by its own forced state is a folding of G(n, k), so
+    their common refinement is one too (`quotient` checks it), and each class
+    has one forced state per element, whose output row is that element's edge
+    map.  The vertex map is asserted well defined (never silently patched), as
+    is exact recovery of every element from its automorphism.
     """
     n = g.elements[0].alphabet_size
     k = g.max_sync_level
     words = list(all_words(n, k))
-    signatures = [tuple(w_word(h, w) for h in g.elements) for w in words]
-    part = StatePartition.from_class_of(signatures)
-
+    tables = [forced_states(h.base, k) for h in g.elements]
+    part = StatePartition.from_class_of(zip(*tables))
     if k == 0:
         base = Automaton(n, (tuple(0 for _ in range(n)),))
     else:
-        graph = de_bruijn(n, k)
-        if not is_folding(graph, part):
-            raise AssertionError("suffix-shift transitions are not well defined")
-        base = quotient(graph, part)
+        base = quotient(de_bruijn(n, k), part)
 
+    rep = part.representatives()
     mapping: dict[Transducer, DigraphAutomorphism] = {}
-    for h in g.elements:
+    for h, table in zip(g.elements, tables):
         vertex = [-1] * part.class_count
-        edges = [[-1] * n for _ in range(part.class_count)]
-        for c, w, forced in zip(part.class_of, words, forced_states(h.base, k)):
+        for c, w in zip(part.class_of, words):
             for p in range(h.state_count):
                 _, image = h.run(w, p)
                 img_class = part.class_of[word_rank(image, n)]
@@ -210,13 +217,8 @@ def subgroup_automaton(
                     vertex[c] = img_class
                 elif vertex[c] != img_class:
                     raise AssertionError("vertex map is not well defined")
-            for x in range(n):
-                y = h.output[forced][x]
-                if edges[c][x] == -1:
-                    edges[c][x] = y
-                elif edges[c][x] != y:
-                    raise AssertionError("edge map is not well defined")
-        phi = DigraphAutomorphism(tuple(vertex), tuple(tuple(r) for r in edges))
+        edges = tuple(h.output[table[r]] for r in rep)
+        phi = DigraphAutomorphism(tuple(vertex), edges)
         check_automorphism(base, phi)
         if not equal_omega(transducer_from_automorphism(base, phi), h):
             raise AssertionError("gluing along the automorphism does not recover the element")

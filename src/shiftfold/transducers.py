@@ -381,10 +381,12 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     the identity exactly when every state of that core outputs the identity row, so the
     core needs no minimizing for the test.  A core of at most `cap_states` states cannot
     minimize past the cap, so it is kept as it is; a bigger one is refined with the cap
-    (see `_refine`), which stops once its class count passes it.  So None still means that
-    some minimal power up to the identity has more than `cap_states` states, and powers of
-    infinite-order elements, which grow without bound, trip it.  A cap above
-    `ELEMENT_STATE_CAP` is refused before any product is formed.
+    (see `_refine`), which stops once its class count passes it.  So None means that the
+    order exceeds `cap_iters`, or that some minimal power T^j with j >= 2, short of the
+    identity, has more than `cap_states` states; powers of infinite-order elements, which
+    grow without bound, trip the state cap.  The base T^1 is not held to the cap: a 4-state
+    involution has order 2 even at `cap_states=1`.  A cap above `ELEMENT_STATE_CAP` is
+    refused before any product is formed.
     """
     if cap_states > ELEMENT_STATE_CAP:
         raise ValueError(f"order state cap {cap_states} exceeds the limit of {ELEMENT_STATE_CAP}")

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from shiftfold import (
+    Automaton,
     CapExceededError,
     ChoiceDependenceError,
     canonical_key,
@@ -24,19 +25,22 @@ from shiftfold import (
     quotient,
     shift_transducer,
     single_state,
+    StatePartition,
     subgroup_automaton,
     subgroup_closure,
     transducer_from_automorphism,
     w_word,
 )
 from shiftfold import subgroups
+from shiftfold.automata import all_words
 from shiftfold.digraph_aut import compose_automorphisms
 from shiftfold.transducers import ELEMENT_STATE_CAP, renumber
 from shiftfold.formats import parse_transducer
 
-from conftest import h3_infinite
+from conftest import h3_infinite, random_h3_elements
 
-H3_INFINITE = Path(__file__).resolve().parent / "golden" / "inputs" / "h3_infinite.txt"
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+H3_INFINITE = INPUTS / "h3_infinite.txt"
 
 
 def test_dual_read_identity():
@@ -363,3 +367,72 @@ def test_subgroup_automaton_full_s3(fig_automaton, fig_transducer):
             )
     # the image subgroup has full order inside Aut(A(G))
     assert len(seen) == len(g.elements)
+
+
+def w_word_automaton(g) -> Automaton:
+    """Reference A(G): the length-k words grouped by their tuple of w-words over G."""
+    n, k = g.elements[0].alphabet_size, g.max_sync_level
+    if k == 0:
+        return Automaton(n, (tuple(0 for _ in range(n)),))
+    labels = [tuple(w_word(h, w) for h in g.elements) for w in all_words(n, k)]
+    return quotient(de_bruijn(n, k), StatePartition.from_class_of(labels))
+
+
+def test_subgroup_automaton_matches_w_words_on_whole_automorphism_groups(foldings_32):
+    for gens in _whole_automorphism_groups(foldings_32):
+        g = subgroup_closure(gens)
+        assert subgroup_automaton(g)[0] == w_word_automaton(g)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("gen_a.txt", "gen_b.txt"), ("fig.txt",), ("h3_order4.txt",), ("gen_a.txt",)],
+    ids="+".join,
+)
+def test_subgroup_automaton_matches_w_words_on_golden_generators(names):
+    g = subgroup_closure([parse_transducer((INPUTS / name).read_text()) for name in names])
+    assert subgroup_automaton(g)[0] == w_word_automaton(g)
+
+
+def conjugated_subgroups(foldings, h3_pool, count, seed, max_level):
+    """Closures of c^-1 Aut(A) c, for `count` random H_3 elements c and the G(3,2) foldings A
+    with a nontrivial automorphism taken in turn.  Closures the caps refuse, and those whose
+    sync level passes `max_level` (the reference walks every word of that length), are
+    left out."""
+    groups = [gens for gens in _whole_automorphism_groups(foldings) if len(gens) > 1]
+    for i, c in enumerate(random_h3_elements(h3_pool, count, seed)):
+        c_inv = invert(c)
+        gens = [product_min(product_min(c_inv, t), c) for t in groups[i % len(groups)]]
+        try:
+            g = subgroup_closure(gens)
+        except CapExceededError:
+            continue
+        if g.max_sync_level <= max_level:
+            yield g
+
+
+@pytest.mark.parametrize(
+    "count, seed, least",
+    [(20, 5, 12), pytest.param(170, 7, 100, marks=pytest.mark.slow)],
+)
+def test_subgroup_automaton_matches_w_words_on_conjugated_subgroups(
+    foldings_32, h3_pool, count, seed, least
+):
+    checked = 0
+    for g in conjugated_subgroups(foldings_32, h3_pool, count, seed, max_level=4):
+        assert subgroup_automaton(g)[0] == w_word_automaton(g)
+        checked += 1
+    assert checked >= least
+
+
+def test_subgroup_automaton_reads_only_forced_state_tables(fig_transducer, monkeypatch):
+    """A(G) is built without a w-word or a single-word forced-state walk."""
+
+    def refuse(*args):
+        raise AssertionError("subgroup_automaton walked a word")
+
+    monkeypatch.setattr(subgroups, "w_word", refuse)
+    monkeypatch.setattr(subgroups, "sync_map", refuse)
+    base, mapping = subgroup_automaton(subgroup_closure([fig_transducer]))
+    assert base.state_count == 3
+    assert len(mapping) == 2
