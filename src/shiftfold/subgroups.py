@@ -15,6 +15,13 @@ through on the first j+1 images of w; each state of a group element permutes
 the words of each length and a minimal machine has no two equivalent states,
 so equal forced states in h, ..., h^(j+1) give equal j-th w-word entries.
 
+Each element h's vertex map phi sends a class to the class of the output of
+its first word read from state 0.  Gluing A(G) along phi must pass the
+incidence check and recover h.  Then each state of h, a minimal core machine,
+acts as a state s of the glued machine, whose output on a length-k word w
+labels a path ending at phi([w]); A(G), a quotient of G(n, k), is forced there
+by that output.  So every run of w from every state of h lands in phi([w]).
+
 G itself is listed by `subgroup_closure`, a coset search over the generators
 alone (Dimino's algorithm): each new generator adds the right cosets of the
 group found so far, one product per element, and no inverse is ever formed.
@@ -39,11 +46,7 @@ from .automata import (
     sync_map,
     word_rank,
 )
-from .digraph_aut import (
-    DigraphAutomorphism,
-    check_automorphism,
-    transducer_from_automorphism,
-)
+from .digraph_aut import DigraphAutomorphism, transducer_from_automorphism
 from .transducers import (
     ELEMENT_STATE_CAP,
     Transducer,
@@ -192,8 +195,9 @@ def subgroup_automaton(
     element's partition by its own forced state is a folding of G(n, k), so
     their common refinement is one too (`quotient` checks it), and each class
     has one forced state per element, whose output row is that element's edge
-    map.  The vertex map is asserted well defined (never silently patched), as
-    is exact recovery of every element from its automorphism.
+    map.  The vertex map is read off one run per class; the incidence check and
+    exact recovery of every element from its automorphism make every other
+    run agree with it, as the module docstring shows.
     """
     n = g.elements[0].alphabet_size
     k = g.max_sync_level
@@ -208,18 +212,9 @@ def subgroup_automaton(
     rep = part.representatives()
     mapping: dict[Transducer, DigraphAutomorphism] = {}
     for h, table in zip(g.elements, tables):
-        vertex = [-1] * part.class_count
-        for c, w in zip(part.class_of, words):
-            for p in range(h.state_count):
-                _, image = h.run(w, p)
-                img_class = part.class_of[word_rank(image, n)]
-                if vertex[c] == -1:
-                    vertex[c] = img_class
-                elif vertex[c] != img_class:
-                    raise AssertionError("vertex map is not well defined")
+        vertex = tuple(part.class_of[word_rank(h.run(words[r], 0)[1], n)] for r in rep)
         edges = tuple(h.output[table[r]] for r in rep)
-        phi = DigraphAutomorphism(tuple(vertex), edges)
-        check_automorphism(base, phi)
+        phi = DigraphAutomorphism(vertex, edges)
         if not equal_omega(transducer_from_automorphism(base, phi), h):
             raise AssertionError("gluing along the automorphism does not recover the element")
         mapping[h] = phi

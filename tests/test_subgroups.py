@@ -1,3 +1,4 @@
+from collections import Counter
 from inspect import signature
 from itertools import product as iproduct
 from pathlib import Path
@@ -28,11 +29,12 @@ from shiftfold import (
     StatePartition,
     subgroup_automaton,
     subgroup_closure,
+    Transducer,
     transducer_from_automorphism,
     w_word,
 )
 from shiftfold import subgroups
-from shiftfold.automata import all_words
+from shiftfold.automata import all_words, forced_states, word_rank
 from shiftfold.digraph_aut import compose_automorphisms
 from shiftfold.transducers import ELEMENT_STATE_CAP, renumber
 from shiftfold.formats import parse_transducer
@@ -378,10 +380,34 @@ def w_word_automaton(g) -> Automaton:
     return quotient(de_bruijn(n, k), StatePartition.from_class_of(labels))
 
 
+def all_runs_vertex_maps(g, base) -> dict:
+    """Reference vertex maps: every length-k word run from every state of every element,
+    failing if two runs of one class land in different classes."""
+    n, k = g.elements[0].alphabet_size, g.max_sync_level
+    class_of = forced_states(base, k)  # A(G) is a quotient of G(n, k)
+    maps = {}
+    for h in g.elements:
+        vertex = [None] * base.state_count
+        for w, c in zip(all_words(n, k), class_of):
+            for p in range(h.state_count):
+                image = class_of[word_rank(h.run(w, p)[1], n)]
+                assert vertex[c] in (None, image), "vertex map is not well defined"
+                vertex[c] = image
+        maps[h] = tuple(vertex)
+    return maps
+
+
+def assert_matches_references(g) -> None:
+    """A(G) equals the w-word reference and each vertex map the all-runs reference."""
+    base, mapping = subgroup_automaton(g)
+    assert base == w_word_automaton(g)
+    vertex_maps = {h: phi.vertex_perm for h, phi in mapping.items()}
+    assert vertex_maps == all_runs_vertex_maps(g, base)
+
+
 def test_subgroup_automaton_matches_w_words_on_whole_automorphism_groups(foldings_32):
     for gens in _whole_automorphism_groups(foldings_32):
-        g = subgroup_closure(gens)
-        assert subgroup_automaton(g)[0] == w_word_automaton(g)
+        assert_matches_references(subgroup_closure(gens))
 
 
 @pytest.mark.parametrize(
@@ -391,23 +417,30 @@ def test_subgroup_automaton_matches_w_words_on_whole_automorphism_groups(folding
 )
 def test_subgroup_automaton_matches_w_words_on_golden_generators(names):
     g = subgroup_closure([parse_transducer((INPUTS / name).read_text()) for name in names])
-    assert subgroup_automaton(g)[0] == w_word_automaton(g)
+    assert_matches_references(g)
 
 
-def conjugated_subgroups(foldings, h3_pool, count, seed, max_level):
-    """Closures of c^-1 Aut(A) c, for `count` random H_3 elements c and the G(3,2) foldings A
-    with a nontrivial automorphism taken in turn.  Closures the caps refuse, and those whose
-    sync level passes `max_level` (the reference walks every word of that length), are
-    left out."""
-    groups = [gens for gens in _whole_automorphism_groups(foldings) if len(gens) > 1]
-    for i, c in enumerate(random_h3_elements(h3_pool, count, seed)):
+def conjugated_subgroups(
+    foldings, h3_pool, count, seed, max_level, min_level=0, order=None, max_factors=2
+):
+    """Closures of c^-1 Aut(A) c, for `count` random H_3 elements c (products of up to
+    `max_factors` pool machines) and the G(3,2) foldings A with a nontrivial automorphism
+    (or with exactly `order` of them) taken in turn.  Closures the caps refuse, and those
+    whose sync level is outside `min_level`..`max_level` (the references walk every word of
+    that length), are left out."""
+    groups = [
+        gens
+        for gens in _whole_automorphism_groups(foldings)
+        if (len(gens) > 1 if order is None else len(gens) == order)
+    ]
+    for i, c in enumerate(random_h3_elements(h3_pool, count, seed, max_factors)):
         c_inv = invert(c)
         gens = [product_min(product_min(c_inv, t), c) for t in groups[i % len(groups)]]
         try:
             g = subgroup_closure(gens)
         except CapExceededError:
             continue
-        if g.max_sync_level <= max_level:
+        if min_level <= g.max_sync_level <= max_level:
             yield g
 
 
@@ -420,9 +453,29 @@ def test_subgroup_automaton_matches_w_words_on_conjugated_subgroups(
 ):
     checked = 0
     for g in conjugated_subgroups(foldings_32, h3_pool, count, seed, max_level=4):
-        assert subgroup_automaton(g)[0] == w_word_automaton(g)
+        assert_matches_references(g)
         checked += 1
     assert checked >= least
+
+
+@pytest.mark.slow
+def test_vertex_maps_match_all_runs_at_sync_levels_6_to_8(foldings_32, h3_pool):
+    """Past the w-word reference's reach: two conjugated order-4 subgroups at each of
+    sync levels 6, 7 and 8 (elements of 9 to 29 states) against the all-runs reference."""
+    wanted = {6: 2, 7: 2, 8: 2}
+    per_level = Counter()
+    for g in conjugated_subgroups(
+        foldings_32, h3_pool, 400, 11, max_level=8, min_level=6, order=4, max_factors=3
+    ):
+        if per_level[g.max_sync_level] == 2:
+            continue
+        per_level[g.max_sync_level] += 1
+        base, mapping = subgroup_automaton(g)
+        vertex_maps = {h: phi.vertex_perm for h, phi in mapping.items()}
+        assert vertex_maps == all_runs_vertex_maps(g, base)
+        if per_level == wanted:
+            break
+    assert per_level == wanted
 
 
 def test_subgroup_automaton_reads_only_forced_state_tables(fig_transducer, monkeypatch):
@@ -436,3 +489,28 @@ def test_subgroup_automaton_reads_only_forced_state_tables(fig_transducer, monke
     base, mapping = subgroup_automaton(subgroup_closure([fig_transducer]))
     assert base.state_count == 3
     assert len(mapping) == 2
+
+
+def test_subgroup_automaton_runs_one_word_per_class(fig_transducer, monkeypatch):
+    """Each element's vertex map takes one `Transducer.run` per class of A(G): 2 elements
+    times 3 classes, where running every word from every state would take 36."""
+    g = subgroup_closure([fig_transducer])
+    runs = []
+    run = Transducer.run
+
+    def counted(self, word, state):
+        runs.append(None)
+        return run(self, word, state)
+
+    monkeypatch.setattr(Transducer, "run", counted)
+    base, mapping = subgroup_automaton(g)
+    assert len(runs) == len(g.elements) * base.state_count == 6
+
+
+def test_subgroup_automaton_refuses_a_wrong_vertex_map(fig_transducer, monkeypatch):
+    """A vertex map read off wrong word classes (every image ranked as the first word) is
+    refused by the incidence check that gluing runs."""
+    g = subgroup_closure([fig_transducer])
+    monkeypatch.setattr(subgroups, "word_rank", lambda word, n: 0)
+    with pytest.raises(ValueError, match="vertex map is not a permutation of the states"):
+        subgroup_automaton(g)
