@@ -1,7 +1,11 @@
-"""Exact folding counts: Bell numbers, the signed partition sum R(s, t), the
-closed formula for word length 2, and congruence enumeration for cross checks.
+"""Exact folding counts and folding enumeration: Bell numbers, set partitions, the
+signed partition sum R(s, t), the closed formula for word length 2, and the list of
+every folding of an automaton.
 
-Everything here is exact integer arithmetic; no floating point.
+The foldings of a de Bruijn graph G(n, m) are listed level by level down the
+row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
+joins in its congruence lattice.  Everything here is exact integer arithmetic; no
+floating point.
 """
 
 from __future__ import annotations
@@ -9,7 +13,15 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .automata import Automaton, CapExceededError, StatePartition, is_folding, reachable
+from .automata import (
+    STATE_CAP,
+    Automaton,
+    CapExceededError,
+    StatePartition,
+    de_bruijn,
+    is_folding,
+    reachable,
+)
 
 EXHAUSTIVE_STATE_CAP = 12
 LATTICE_CAP = 200_000
@@ -29,10 +41,9 @@ def bell(k: int) -> int:
     return row[0]
 
 
-def set_partitions(k: int):
-    """All partitions of {0..k-1} as restricted growth strings, in lex order."""
-    if k > EXHAUSTIVE_STATE_CAP:
-        raise CapExceededError(f"set partition enumeration capped at {EXHAUSTIVE_STATE_CAP}")
+def _growth_strings(k: int):
+    """Every partition of {0..k-1} as a restricted growth string, in lex order, without
+    a cap; k must be non-negative."""
     if k == 0:
         yield ()
         return
@@ -47,6 +58,15 @@ def set_partitions(k: int):
             yield from descend(i + 1, max(top, c))
 
     yield from descend(1, 0)
+
+
+def set_partitions(k: int):
+    """All partitions of {0..k-1} as restricted growth strings, in lex order."""
+    if k < 0:
+        raise ValueError("set partitions are defined for non-negative sizes")
+    if k > EXHAUSTIVE_STATE_CAP:
+        raise CapExceededError(f"set partition enumeration capped at {EXHAUSTIVE_STATE_CAP}")
+    return _growth_strings(k)
 
 
 def _integer_partitions(t: int):
@@ -139,14 +159,117 @@ def join_foldings(a: Automaton, p1: StatePartition, p2: StatePartition) -> State
     return congruence_closure(a, pairs)
 
 
+def _in_splits(delta):
+    """The in-splittings of the core automaton `delta` that its row merge folds back
+    onto it, each as (rows, firsts), and None for each choice rejected on the way.
+
+    An in-splitting partitions the pointers (a, x) into each state b; each class is a
+    new state, numbered by b and then by class, so b's copies are firsts[b] up to
+    firsts[b+1].  Every copy of a leads along x to the class of (a, x), so the copies
+    of a share the row rows[a], and the row merge folds them back onto a unless two
+    states of `delta` get one row.  Only states whose rows in `delta` are equal can,
+    and they are told apart or not once the last of their targets is split, so a
+    choice is rejected there.  A choice not rejected always extends to a kept one
+    (split each later state's pointers apart), so the search meets no dead branch.
+    """
+    k = len(delta)
+    into = [0] * k
+    slots = []  # slots[a][x]: (b, the index of (a, x) among the pointers into b)
+    for row in delta:
+        slot = []
+        for b in row:
+            slot.append((b, into[b]))
+            into[b] += 1
+        slots.append(slot)
+    twins: dict = {}
+    for a, row in enumerate(delta):
+        twins.setdefault(row, []).append(a)
+    settled = [[] for _ in range(k)]  # equal-row groups whose last target is b
+    for row, group in twins.items():
+        if len(group) > 1:
+            settled[max(row)].append(group)
+    picks = [()] * k  # picks[b]: the growth string that partitions b's pointers
+    firsts = [0] * (k + 1)
+    pending = [iter(())] * k  # pending[b]: b's growth strings not yet tried
+    pending[0] = _growth_strings(into[0])
+
+    def distinct(group) -> bool:
+        return len({tuple([picks[b][j] for b, j in slots[a]]) for a in group}) == len(group)
+
+    b = 0
+    while b >= 0:
+        pick = next(pending[b], None)
+        if pick is None:
+            b -= 1
+            continue
+        picks[b] = pick
+        firsts[b + 1] = firsts[b] + max(pick) + 1
+        if not all(map(distinct, settled[b])):
+            yield None
+        elif b + 1 < k:
+            b += 1
+            pending[b] = _growth_strings(into[b])
+        else:
+            rows = [tuple([firsts[t] + picks[t][j] for t, j in slot]) for slot in slots]
+            yield rows, tuple(firsts)
+
+
+def _de_bruijn_foldings(n: int, m: int, cap: int) -> list[StatePartition]:
+    """All foldings of G(n, m), sorted by class table, listed level by level from G(n, 0).
+
+    Merging the equal rows of G(n, j)/P gives G(n, j-1)/pi(P), where u ~ u' under pi(P)
+    iff ux ~ u'x under P for every letter x: the paper's synchronizing sequence.  So P
+    is an in-splitting of G(n, j-1)/pi(P) that the row merge folds back onto it (see
+    `_in_splits`), and each such in-splitting gives one folding, which puts the word ux,
+    for u in class a, in class rows[a][x].  Every folding thus arises once, from its
+    projection, with no dedupe.  The foldings of each level count against `cap`, and so
+    do its rejected choices, which bounds the work.  Each folding lifts at least to the
+    one that splits every pointer apart, so counts only grow with the level and a
+    refusal for too many foldings is truthful.
+    """
+    level = [(((0,) * n,), [0])]  # G(n, 0): the empty word, in a one-state automaton
+    for length in range(1, m + 1):
+        lifted = []
+        rejected = 0
+        for delta, words in level:
+            for split in _in_splits(delta):
+                if split is None:
+                    rejected += 1
+                else:
+                    rows, firsts = split
+                    table = [c for a in words for c in rows[a]]
+                    if length == m:
+                        lifted.append(table)
+                    else:  # the split automaton: each copy of a has a's row
+                        spans = zip(rows, firsts, firsts[1:])
+                        split_delta = tuple(r for r, lo, hi in spans for _ in range(lo, hi))
+                        lifted.append((split_delta, table))
+                if len(lifted) > cap or rejected > cap:
+                    raise CapExceededError("folding lattice cap exceeded")
+        level = lifted
+    return sorted((StatePartition.from_class_of(t) for t in level), key=lambda p: p.class_of)
+
+
+def _de_bruijn_length(a: Automaton) -> int | None:
+    """m when A is G(n, m) in `de_bruijn`'s numbering, else None."""
+    n, m, size = a.alphabet_size, 0, 1
+    while size < a.state_count:
+        size, m = size * n, m + 1
+    if m == 0 or size != a.state_count or size * n > STATE_CAP:
+        return None
+    return m if a.delta == de_bruijn(n, m).delta else None
+
+
 def enumerate_foldings(
     a: Automaton, method: str = "lattice", cap: int = LATTICE_CAP
 ) -> list[StatePartition]:
     """All foldings of A, sorted by class table.
 
-    "exhaustive" filters every set partition of the states; "lattice" joins each
-    folding found, breadth first from the discrete partition, with each principal
-    congruence, and counts every folding against `cap`.  Both include the discrete partition.
+    "exhaustive" filters every set partition of the states.  "lattice" lists the
+    foldings of G(n, m), in `de_bruijn`'s numbering, level by level down the row-merge
+    sequence; for any other automaton it joins each folding found, breadth first from
+    the discrete partition, with each principal congruence.  Either way it counts
+    every folding against `cap`.  Both methods include the discrete partition.
     """
     if method == "exhaustive":
         if a.state_count > EXHAUSTIVE_STATE_CAP:
@@ -155,6 +278,9 @@ def enumerate_foldings(
         return sorted((p for p in parts if is_folding(a, p)), key=lambda p: p.class_of)
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
+    m = _de_bruijn_length(a)
+    if m is not None:
+        return _de_bruijn_foldings(a.alphabet_size, m, cap)
 
     m = a.state_count
     closures = (congruence_closure(a, [(p, q)]) for p in range(m) for q in range(p + 1, m))

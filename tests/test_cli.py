@@ -430,6 +430,30 @@ def test_de_bruijn_transition_table_is_capped(command):
     assert proc.stderr == "error: de Bruijn graph G(1000, 2) would have more than 1000000 transitions\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fold-count", "2", "5"], ["fold-count", "3", "3"], ["fold-enum", "5", "2"], ["fold-count", "13", "3"]],
+)
+def test_folding_lists_past_the_lattice_cap_are_refused(argv):
+    """G(2,5), G(3,3) and G(5,2) each have more foldings than `LATTICE_CAP`, and level 1
+    of G(13,3) alone has Bell(13) of them, more than `set_partitions` would take.  The
+    level-by-level listing finds that out in seconds, in a bounded address space."""
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", *argv],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: folding lattice cap exceeded\n"
+
+
 def test_huge_rule_window_is_refused_without_forming_the_power(tmp_path):
     """2**100000000000 would take the parser minutes and gigabytes to form; the
     window alone shows that two outputs cannot fill the table."""

@@ -17,6 +17,8 @@ from shiftfold import (
     set_partitions,
     sync_level,
 )
+from shiftfold.automata import Automaton, folding_from_sync, row_merge_partition
+from shiftfold import counting
 
 
 def test_bell_small_values():
@@ -50,6 +52,12 @@ def test_set_partitions_are_restricted_growth():
 def test_set_partitions_cap():
     with pytest.raises(CapExceededError):
         list(set_partitions(13))
+
+
+def test_set_partitions_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="non-negative"):
+        list(set_partitions(-1))
+    assert list(set_partitions(0)) == [()]
 
 
 def _moebius_oracle(s, t):
@@ -157,11 +165,77 @@ def test_enumerated_foldings_are_foldings(foldings_23):
 def test_g_n_1_foldings_are_bell():
     for n in range(2, 7):
         assert len(enumerate_foldings(de_bruijn(n, 1), method="exhaustive")) == bell(n)
+    for n in range(2, 9):
+        assert len(enumerate_foldings(de_bruijn(n, 1))) == bell(n)
 
 
 def test_formula_agrees_with_enumeration():
     for n in (2, 3):
         assert count_foldings_g_n_2(n) == len(enumerate_foldings(de_bruijn(n, 2)))
+
+
+@pytest.mark.slow
+def test_formula_agrees_with_enumeration_over_four_letters():
+    assert count_foldings_g_n_2(4) == len(enumerate_foldings(de_bruijn(4, 2))) == 78_721
+
+
+def reversed_states(a: Automaton) -> Automaton:
+    """A with state s renamed N-1-s: for G(n, m) this swaps letters x and n-1-x, so each
+    row comes out reversed and the table is no longer `de_bruijn`'s."""
+    last = a.state_count - 1
+    return Automaton(
+        a.alphabet_size, tuple(tuple(last - t for t in a.delta[last - s]) for s in range(last + 1))
+    )
+
+
+def renamed_back(parts):
+    back = [StatePartition.from_class_of(p.class_of[::-1]) for p in parts]
+    return sorted(back, key=lambda p: p.class_of)
+
+
+LEVELLED = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)]
+
+
+@pytest.mark.parametrize("n, m", LEVELLED)
+def test_level_by_level_listing_equals_the_join_lattice(n, m, monkeypatch):
+    g = de_bruijn(n, m)
+    renamed = reversed_states(g)
+    assert renamed.delta != g.delta
+    lattice = renamed_back(enumerate_foldings(renamed))
+    monkeypatch.setattr(counting, "congruence_closure", None)  # G(n, m) never reaches it
+    assert enumerate_foldings(g) == lattice
+
+
+@pytest.mark.parametrize("n, m", LEVELLED + [(5, 1)])
+def test_level_by_level_listing_is_sorted_distinct_foldings(n, m):
+    g = de_bruijn(n, m)
+    tables = [p.class_of for p in enumerate_foldings(g)]
+    assert tables == sorted(set(tables))
+    assert all(is_folding(g, StatePartition.from_class_of(t)) for t in tables)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 2), (2, 3), (2, 4), (3, 2), pytest.param(4, 2, marks=pytest.mark.slow)]
+)
+def test_row_merge_projects_the_foldings_onto_the_level_below(n, m):
+    """The paper's synchronizing sequence: merging equal rows of G(n, m)/P gives a
+    quotient of G(n, m-1), and every folding of G(n, m-1) is the image of some P."""
+    g = de_bruijn(n, m)
+    below = {p.class_of for p in enumerate_foldings(de_bruijn(n, m - 1))}
+    hit = set()
+    for p in enumerate_foldings(g):
+        q = quotient(g, p)
+        merged = quotient(q, row_merge_partition(q))
+        hit.add(folding_from_sync(merged, m - 1).class_of)
+    assert hit == below
+
+
+def test_rejected_choices_count_against_the_cap(monkeypatch):
+    """Rejected choices bound the work of a level too, even where few foldings are kept."""
+    monkeypatch.setattr(counting, "_in_splits", lambda delta: iter([None] * 3))
+    assert counting._de_bruijn_foldings(2, 1, cap=3) == []
+    with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
+        counting._de_bruijn_foldings(2, 1, cap=2)
 
 
 def test_exhaustive_cap():
@@ -174,9 +248,12 @@ def test_unknown_method():
         enumerate_foldings(de_bruijn(2, 2), method="magic")
 
 
-@pytest.mark.parametrize("n, m, count", [(2, 1, 2), (2, 3, 30)])
+@pytest.mark.parametrize("n, m, count", [(2, 1, 2), (2, 3, 30), (3, 2, 192)])
 def test_lattice_cap_counts_every_folding(n, m, count):
+    """On G(n, m), listed level by level, and on its renamed copy, which the join
+    lattice serves."""
     g = de_bruijn(n, m)
-    assert len(enumerate_foldings(g, cap=count)) == count
-    with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
-        enumerate_foldings(g, cap=count - 1)
+    for a in (g, reversed_states(g)):
+        assert len(enumerate_foldings(a, cap=count)) == count
+        with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
+            enumerate_foldings(a, cap=count - 1)
