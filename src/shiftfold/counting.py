@@ -4,8 +4,11 @@ every folding of an automaton.
 
 The foldings of a de Bruijn graph G(n, m) are listed level by level down the
 row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
-joins in its congruence lattice.  Everything here is exact integer arithmetic; no
-floating point.
+joins in its congruence lattice.  The exhaustive method, an independent cross-check of
+both for up to 12 states, grows each set partition state by state and cuts a prefix
+as soon as two states of one class lead to placed states of different classes
+(`_closed_prefix`).  Both methods count every folding against a cap.  Everything here
+is exact integer arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .automata import (
     CapExceededError,
     StatePartition,
     de_bruijn,
-    is_folding,
     reachable,
 )
 
@@ -41,9 +43,11 @@ def bell(k: int) -> int:
     return row[0]
 
 
-def _growth_strings(k: int):
+def _growth_strings(k: int, keep=None):
     """Every partition of {0..k-1} as a restricted growth string, in lex order, without
-    a cap; k must be non-negative."""
+    a cap; k must be non-negative.  Given `keep`, a prefix rgs[:i+1] (i >= 1) is
+    extended only while keep(rgs, i) holds, so `keep` must pass every prefix of a
+    string it wants."""
     if k == 0:
         yield ()
         return
@@ -55,7 +59,8 @@ def _growth_strings(k: int):
             return
         for c in range(top + 2):
             rgs[i] = c
-            yield from descend(i + 1, max(top, c))
+            if keep is None or keep(rgs, i):
+                yield from descend(i + 1, max(top, c))
 
     yield from descend(1, 0)
 
@@ -250,6 +255,31 @@ def _de_bruijn_foldings(n: int, m: int, cap: int) -> list[StatePartition]:
     return sorted((StatePartition.from_class_of(t) for t in level), key=lambda p: p.class_of)
 
 
+def _closed_prefix(a: Automaton):
+    """The prefix test of the exhaustive search.  rgs[:i+1] puts states 0..i in classes;
+    it fails when some placed state s and the least state r of its class have targets
+    on one letter that are both placed but in different classes.  Placed classes and
+    their least states never change as the string grows, so no completion of a failed
+    prefix is a folding, and at i = N-1 the test is exactly `is_folding`."""
+    delta = a.delta
+
+    def keep(rgs, i: int) -> bool:
+        firsts: list[int] = []
+        for s in range(i + 1):
+            c = rgs[s]
+            if c == len(firsts):
+                firsts.append(s)
+                continue
+            row, rep_row = delta[s], delta[firsts[c]]
+            if row != rep_row:
+                for t, u in zip(row, rep_row):
+                    if t <= i and u <= i and rgs[t] != rgs[u]:
+                        return False
+        return True
+
+    return keep
+
+
 def _de_bruijn_length(a: Automaton) -> int | None:
     """m when A is G(n, m) in `de_bruijn`'s numbering, else None."""
     n, m, size = a.alphabet_size, 0, 1
@@ -265,17 +295,25 @@ def enumerate_foldings(
 ) -> list[StatePartition]:
     """All foldings of A, sorted by class table.
 
-    "exhaustive" filters every set partition of the states.  "lattice" lists the
+    "exhaustive" walks the set partitions of the states as restricted growth strings,
+    in lex order, and extends a prefix only while `_closed_prefix` passes it.  A cut
+    prefix has no folding among its completions and the last test is `is_folding`, so
+    it still finds every folding and nothing else, already sorted.  "lattice" lists the
     foldings of G(n, m), in `de_bruijn`'s numbering, level by level down the row-merge
     sequence; for any other automaton it joins each folding found, breadth first from
     the discrete partition, with each principal congruence.  Either way it counts
-    every folding against `cap`.  Both methods include the discrete partition.
+    every folding against `cap` and refuses past it.  Both methods include the
+    discrete partition.
     """
     if method == "exhaustive":
         if a.state_count > EXHAUSTIVE_STATE_CAP:
             raise CapExceededError("exhaustive folding enumeration capped at 12 states")
-        parts = (StatePartition(rgs, max(rgs) + 1) for rgs in set_partitions(a.state_count))
-        return sorted((p for p in parts if is_folding(a, p)), key=lambda p: p.class_of)
+        found = []
+        for rgs in _growth_strings(a.state_count, _closed_prefix(a)):
+            found.append(StatePartition(rgs, max(rgs) + 1))
+            if len(found) > cap:
+                raise CapExceededError("folding lattice cap exceeded")
+        return found
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
     m = _de_bruijn_length(a)

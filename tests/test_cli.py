@@ -204,8 +204,10 @@ def test_fold_enum(capsys):
     lines = out.splitlines()
     assert code == 0 and len(lines) == 5
     assert lines[0] == "0 0 0 0"
-    code, out2 = run(capsys, "fold-enum", "2", "2", "--method", "exhaustive")
-    assert out2 == out
+    for n, m in [(2, 2), (2, 3), (3, 2), (4, 1)]:
+        code, out = run(capsys, "fold-enum", str(n), str(m))
+        code2, out2 = run(capsys, "fold-enum", str(n), str(m), "--method", "exhaustive")
+        assert code == code2 == 0 and out2 == out
 
 
 def test_bell(capsys):
@@ -432,12 +434,20 @@ def test_de_bruijn_transition_table_is_capped(command):
 
 @pytest.mark.parametrize(
     "argv",
-    [["fold-count", "2", "5"], ["fold-count", "3", "3"], ["fold-enum", "5", "2"], ["fold-count", "13", "3"]],
+    [
+        ["fold-count", "2", "5"],
+        ["fold-count", "3", "3"],
+        ["fold-enum", "5", "2"],
+        ["fold-count", "13", "3"],
+        ["fold-enum", "11", "1", "--method", "exhaustive"],
+        ["fold-enum", "12", "1", "--method", "exhaustive"],
+    ],
 )
 def test_folding_lists_past_the_lattice_cap_are_refused(argv):
     """G(2,5), G(3,3) and G(5,2) each have more foldings than `LATTICE_CAP`, and level 1
     of G(13,3) alone has Bell(13) of them, more than `set_partitions` would take.  The
-    level-by-level listing finds that out in seconds, in a bounded address space."""
+    level-by-level listing finds that out in seconds, in a bounded address space, and so
+    does the exhaustive search on G(11,1) and G(12,1), with Bell(11) and Bell(12)."""
     root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
     proc = subprocess.run(

@@ -1,6 +1,10 @@
+import random
+import time
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftfold import (
     CapExceededError,
@@ -18,7 +22,7 @@ from shiftfold import (
     sync_level,
 )
 from shiftfold.automata import Automaton, folding_from_sync, row_merge_partition
-from shiftfold import counting
+from shiftfold import automata, counting
 
 
 def test_bell_small_values():
@@ -239,8 +243,83 @@ def test_rejected_choices_count_against_the_cap(monkeypatch):
 
 
 def test_exhaustive_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_foldings(de_bruijn(2, 4), method="exhaustive")
+    thirteen = Automaton(2, tuple(((q + 1) % 13, 0) for q in range(13)))
+    for a in (de_bruijn(2, 4), thirteen):
+        with pytest.raises(CapExceededError, match="^exhaustive folding enumeration capped at 12 states$"):
+            enumerate_foldings(a, method="exhaustive")
+
+
+def filtered_foldings(a: Automaton) -> list[StatePartition]:
+    """The reference for the exhaustive search: every set partition of the states,
+    in lex order, kept when `is_folding` accepts it."""
+    parts = (StatePartition(rgs, max(rgs) + 1) for rgs in set_partitions(a.state_count))
+    return [p for p in parts if is_folding(a, p)]
+
+
+def renamed_states(a: Automaton, perm) -> Automaton:
+    """A with state q renamed perm[q]."""
+    old_of = [0] * len(perm)
+    for q, new in enumerate(perm):
+        old_of[new] = q
+    return Automaton(a.alphabet_size, tuple(tuple(perm[t] for t in a.delta[q]) for q in old_of))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)] + [(n, 1) for n in range(2, 9)])
+def test_exhaustive_search_equals_the_filter_on_de_bruijn_graphs(n, m):
+    g = de_bruijn(n, m)
+    assert enumerate_foldings(g, method="exhaustive") == filtered_foldings(g)
+
+
+def test_exhaustive_search_equals_the_filter_on_renamed_quotients(foldings_32):
+    """The prefix cut depends on the numbering of the states, so each quotient of
+    G(3, 2) is also searched with its states reversed and shuffled."""
+    g = de_bruijn(3, 2)
+    rng = random.Random(20)
+    assert len(foldings_32) == 192
+    for p in foldings_32:
+        q = quotient(g, p)
+        k = q.state_count
+        for perm in (range(k), range(k - 1, -1, -1), rng.sample(range(k), k)):
+            a = renamed_states(q, list(perm))
+            assert enumerate_foldings(a, method="exhaustive") == filtered_foldings(a)
+
+
+@st.composite
+def small_automata(draw):
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 7))
+    row = st.tuples(*[st.integers(0, k - 1)] * n)
+    return Automaton(n, tuple(draw(st.lists(row, min_size=k, max_size=k))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_automata())
+def test_exhaustive_search_equals_the_filter_on_random_automata(a):
+    assert enumerate_foldings(a, method="exhaustive") == filtered_foldings(a)
+
+
+def test_exhaustive_search_never_filters_a_whole_partition(monkeypatch):
+    """Every prefix is cut or kept as it grows, so no full partition is tested again."""
+
+    def refuse(a, p):
+        raise AssertionError("a whole partition was filtered")
+
+    monkeypatch.setattr(counting, "is_folding", refuse, raising=False)
+    monkeypatch.setattr(automata, "is_folding", refuse)
+    assert len(enumerate_foldings(de_bruijn(3, 2), method="exhaustive")) == 192
+
+
+# a 12-state quotient of G(2, 4) with 160 foldings, among Bell(12) = 4,213,597 partitions
+TWELVE_STATE_FOLDING = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 10, 5, 6, 11)
+
+
+def test_exhaustive_search_lists_a_twelve_state_quotient_in_seconds():
+    q = quotient(de_bruijn(2, 4), StatePartition.from_class_of(TWELVE_STATE_FOLDING))
+    assert q.state_count == 12
+    start = time.perf_counter()
+    found = enumerate_foldings(q, method="exhaustive")
+    assert time.perf_counter() - start < 2
+    assert len(found) == 160 and found == enumerate_foldings(q)
 
 
 def test_unknown_method():
@@ -251,9 +330,9 @@ def test_unknown_method():
 @pytest.mark.parametrize("n, m, count", [(2, 1, 2), (2, 3, 30), (3, 2, 192)])
 def test_lattice_cap_counts_every_folding(n, m, count):
     """On G(n, m), listed level by level, and on its renamed copy, which the join
-    lattice serves."""
+    lattice serves; the exhaustive search counts against the same cap."""
     g = de_bruijn(n, m)
-    for a in (g, reversed_states(g)):
-        assert len(enumerate_foldings(a, cap=count)) == count
+    for a, method in [(g, "lattice"), (reversed_states(g), "lattice"), (g, "exhaustive")]:
+        assert len(enumerate_foldings(a, method, cap=count)) == count
         with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
-            enumerate_foldings(a, cap=count - 1)
+            enumerate_foldings(a, method, cap=count - 1)
