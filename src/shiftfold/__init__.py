@@ -9,7 +9,6 @@ from .automata import (
     core_of,
     de_bruijn,
     folding_from_sync,
-    is_collapse_equivalent,
     is_core,
     is_folding,
     is_isomorphic,
@@ -32,7 +31,6 @@ from .decompose import (
     Factorization,
     decompose,
     decompose_involutions,
-    is_amalgamation,
     verify,
 )
 from .digraph_aut import (

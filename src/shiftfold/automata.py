@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import attrgetter
 
 Word = tuple[int, ...]
 
@@ -122,17 +121,22 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _cap_de_bruijn(n: int, m: int) -> None:
+    """Refuse G(n, m) past `STATE_CAP` transitions, n**(m+1), before anything is built."""
+    # 2**(m+1) alone passes the cap once m reaches its bit length
+    if m >= STATE_CAP.bit_length() or n ** (m + 1) > STATE_CAP:
+        raise CapExceededError(
+            f"de Bruijn graph G({n}, {m}) would have more than {STATE_CAP} transitions"
+        )
+
+
 def de_bruijn(n: int, m: int) -> Automaton:
     """The de Bruijn graph G(n, m): reading x from word a1..am leads to a2..am x."""
     if n < 2:
         raise ValueError("alphabet size must be at least 2")
     if m < 1:
         raise ValueError("word length must be at least 1")
-    # n**(m+1) transitions; 2**(m+1) alone passes the cap once m reaches its bit length
-    if m >= STATE_CAP.bit_length() or n ** (m + 1) > STATE_CAP:
-        raise CapExceededError(
-            f"de Bruijn graph G({n}, {m}) would have more than {STATE_CAP} transitions"
-        )
+    _cap_de_bruijn(n, m)
     size = n**m
     tail = n ** (m - 1)
     delta = tuple(tuple((s % tail) * n + x for x in range(n)) for s in range(size))
@@ -295,12 +299,14 @@ def sync_map(a: Automaton, w) -> int:
 
 def forced_states(a: Automaton, level: int | None = None) -> list[int]:
     """The state forced by each word of length `level` (default: the sync level), in
-    lexicographic word order; run from state 0, as any start forces the same state."""
+    lexicographic word order; run from state 0, as any start forces the same state.
+    The words are the states of G(n, level), so it is refused past that graph's cap."""
     k = require_sync_level(a)
     if level is None:
         level = k
     elif level < k:
         raise ValueError(f"automaton only synchronizes at level {k}, not {level}")
+    _cap_de_bruijn(a.alphabet_size, level)
     table = [0]
     for _ in range(level):
         table = [t for q in table for t in a.delta[q]]
@@ -407,32 +413,3 @@ def reachable(start, successors, key, cap: int, what: str):
             seen.add(k)
             yield k, element
             batches.append(successors(element))
-
-
-def merge_search(start, target, size, merges, key, cap: int, what: str) -> bool:
-    """Can `start` reach `target`'s key by merges, each one state smaller (BFS under a cap)?"""
-    goal_size, goal = size(target), key(target)
-    if size(start) < goal_size:
-        return False
-    found = reachable(
-        start, lambda x: merges(x) if size(x) > goal_size else (), key, cap, f"{what} search"
-    )
-    return any(k == goal for k, _ in found)
-
-
-def _row_merges(a: Automaton):
-    """A with each pair of distinct row-equal states merged, one pair at a time."""
-    for members in row_merge_partition(a).blocks():
-        for i, p in enumerate(members):
-            for q in members[i + 1 :]:
-                labels = list(range(a.state_count))
-                labels[q] = p
-                yield quotient(a, StatePartition.from_class_of(labels))
-
-
-def is_collapse_equivalent(a: Automaton, b: Automaton, cap: int = 10**6) -> bool:
-    """Can A reach an automaton isomorphic to B by one-pair row-equal merges?"""
-    if a.alphabet_size != b.alphabet_size:
-        return False
-    size = attrgetter("state_count")
-    return merge_search(a, b, size, _row_merges, canonical_form, cap, "collapse-equivalence")

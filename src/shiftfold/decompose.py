@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, merge_search, merge_terms, row_merge_partition
+from .automata import Automaton, merge_terms, row_merge_partition
 from .digraph_aut import (
     DigraphAutomorphism,
-    edge_count_matrix,
     involution_factors,
     perm_cycles,
     relabeling,
@@ -124,11 +123,6 @@ def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:
     return step, reduced
 
 
-def decompose_step(t: Transducer) -> tuple[DecompositionStep, Transducer]:
-    """One collapse of a pair of states: the step record and the smaller machine."""
-    return _step(t, split=False)
-
-
 def _decompose(t: Transducer, split: bool) -> Factorization:
     """Collapse pairs until one state is left; `split` splits each factor into involutions."""
     if not is_in_hn(t):
@@ -183,68 +177,3 @@ def verify(f: Factorization) -> bool:
             return False
         current = step.reduced
     return current.state_count == 1
-
-
-def _canonical_matrix(mat: tuple[tuple[int, ...], ...]) -> tuple:
-    """Least layer-by-layer reading of the matrix over all vertex orderings."""
-    m = len(mat)
-    best: list[tuple] | None = None
-    assignment: list[int] = []
-    used = [False] * m
-
-    def layer(order: list[int], d: int) -> tuple:
-        row = tuple(mat[order[d]][order[j]] for j in range(d + 1))
-        col = tuple(mat[order[j]][order[d]] for j in range(d))
-        return row + col
-
-    def descend(d: int, layers: list[tuple]):
-        nonlocal best
-        if d == m:
-            if best is None or layers < best:
-                best = list(layers)
-            return
-        for v in range(m):
-            if used[v]:
-                continue
-            assignment.append(v)
-            used[v] = True
-            new_layer = layer(assignment, d)
-            prefix_ok = True
-            if best is not None:
-                probe = layers + [new_layer]
-                if probe > best[: len(probe)]:
-                    prefix_ok = False
-            if prefix_ok:
-                descend(d + 1, layers + [new_layer])
-            used[v] = False
-            assignment.pop()
-
-    descend(0, [])
-    assert best is not None
-    return tuple(best)
-
-
-def _amalgamations(mat: tuple[tuple[int, ...], ...]):
-    """The matrix with each pair of equal-row vertices merged, one pair at a time."""
-    m = len(mat)
-    for v1 in range(m):
-        for v2 in range(v1 + 1, m):
-            if mat[v1] != mat[v2]:
-                continue
-            keep = [v for v in range(m) if v != v2]
-            yield tuple(
-                tuple(mat[p][r] + (mat[p][v2] if r == v1 else 0) for r in keep) for p in keep
-            )
-
-
-def is_amalgamation(gb: Automaton, ga: Automaton, cap: int = 100_000) -> bool:
-    """Is Gb's digraph reachable from Ga's by merging amalgamable vertex pairs?"""
-    return merge_search(
-        edge_count_matrix(ga),
-        edge_count_matrix(gb),
-        len,
-        _amalgamations,
-        _canonical_matrix,
-        cap,
-        "amalgamation",
-    )

@@ -201,8 +201,8 @@ def subgroup_automaton(
     """
     n = g.elements[0].alphabet_size
     k = g.max_sync_level
+    tables = [forced_states(h.base, k) for h in g.elements]  # capped before `words` exists
     words = list(all_words(n, k))
-    tables = [forced_states(h.base, k) for h in g.elements]
     part = StatePartition.from_class_of(zip(*tables))
     if k == 0:
         base = Automaton(n, (tuple(0 for _ in range(n)),))

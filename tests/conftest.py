@@ -7,9 +7,12 @@ non-permutation-induced example.  Random corpora are seeded and deterministic.
 `oracle_minimize_partition` is the Moore refinement written with two
 normalized partitions per round, and `oracle_weak_minimize` the minimized
 machine built from it: the references the minimizer is checked against.
+`is_collapse_equivalent` and `is_amalgamation` are exponential merge searches
+under a cap, the references the decomposition steps and terms are checked against.
 """
 
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from shiftfold import (
     Automaton,
     StatePartition,
     Transducer,
+    canonical_form,
     de_bruijn,
     enumerate_automorphisms,
     enumerate_foldings,
@@ -26,6 +30,8 @@ from shiftfold import (
     quotient,
     transducer_from_automorphism,
 )
+from shiftfold.automata import reachable, row_merge_partition
+from shiftfold.digraph_aut import edge_count_matrix
 from shiftfold.formats import parse_transducer
 
 H3_INFINITE = Path(__file__).parent / "golden" / "inputs" / "h3_infinite.txt"
@@ -105,6 +111,100 @@ def oracle_weak_minimize(t):
     rep = part.representatives()
     output = tuple(t.output[rep[c]] for c in range(part.class_count))
     return Transducer(quotient(t.base, part), output)
+
+
+def merge_search(start, target, size, merges, key, cap: int, what: str) -> bool:
+    """Can `start` reach `target`'s key by merges, each one state smaller (BFS under a cap)?"""
+    goal_size, goal = size(target), key(target)
+    if size(start) < goal_size:
+        return False
+    found = reachable(
+        start, lambda x: merges(x) if size(x) > goal_size else (), key, cap, f"{what} search"
+    )
+    return any(k == goal for k, _ in found)
+
+
+def _row_merges(a: Automaton):
+    """A with each pair of distinct row-equal states merged, one pair at a time."""
+    for members in row_merge_partition(a).blocks():
+        for i, p in enumerate(members):
+            for q in members[i + 1 :]:
+                labels = list(range(a.state_count))
+                labels[q] = p
+                yield quotient(a, StatePartition.from_class_of(labels))
+
+
+def is_collapse_equivalent(a: Automaton, b: Automaton, cap: int = 10**6) -> bool:
+    """Can A reach an automaton isomorphic to B by one-pair row-equal merges?"""
+    if a.alphabet_size != b.alphabet_size:
+        return False
+    size = attrgetter("state_count")
+    return merge_search(a, b, size, _row_merges, canonical_form, cap, "collapse-equivalence")
+
+
+def _canonical_matrix(mat: tuple[tuple[int, ...], ...]) -> tuple:
+    """Least layer-by-layer reading of the matrix over all vertex orderings."""
+    m = len(mat)
+    best: list[tuple] | None = None
+    assignment: list[int] = []
+    used = [False] * m
+
+    def layer(order: list[int], d: int) -> tuple:
+        row = tuple(mat[order[d]][order[j]] for j in range(d + 1))
+        col = tuple(mat[order[j]][order[d]] for j in range(d))
+        return row + col
+
+    def descend(d: int, layers: list[tuple]):
+        nonlocal best
+        if d == m:
+            if best is None or layers < best:
+                best = list(layers)
+            return
+        for v in range(m):
+            if used[v]:
+                continue
+            assignment.append(v)
+            used[v] = True
+            new_layer = layer(assignment, d)
+            prefix_ok = True
+            if best is not None:
+                probe = layers + [new_layer]
+                if probe > best[: len(probe)]:
+                    prefix_ok = False
+            if prefix_ok:
+                descend(d + 1, layers + [new_layer])
+            used[v] = False
+            assignment.pop()
+
+    descend(0, [])
+    assert best is not None
+    return tuple(best)
+
+
+def _amalgamations(mat: tuple[tuple[int, ...], ...]):
+    """The matrix with each pair of equal-row vertices merged, one pair at a time."""
+    m = len(mat)
+    for v1 in range(m):
+        for v2 in range(v1 + 1, m):
+            if mat[v1] != mat[v2]:
+                continue
+            keep = [v for v in range(m) if v != v2]
+            yield tuple(
+                tuple(mat[p][r] + (mat[p][v2] if r == v1 else 0) for r in keep) for p in keep
+            )
+
+
+def is_amalgamation(gb: Automaton, ga: Automaton, cap: int = 100_000) -> bool:
+    """Is Gb's digraph reachable from Ga's by merging amalgamable vertex pairs?"""
+    return merge_search(
+        edge_count_matrix(ga),
+        edge_count_matrix(gb),
+        len,
+        _amalgamations,
+        _canonical_matrix,
+        cap,
+        "amalgamation",
+    )
 
 
 def h3_infinite():

@@ -11,7 +11,6 @@ from shiftfold import (
     core_of,
     de_bruijn,
     folding_from_sync,
-    is_collapse_equivalent,
     is_core,
     is_folding,
     is_isomorphic,
@@ -20,6 +19,8 @@ from shiftfold import (
     sync_map,
     sync_sequence,
 )
+
+from conftest import is_collapse_equivalent
 
 
 def random_automaton(rng, n, m):

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from shiftfold import de_bruijn, decompose, order, shift_transducer, single_state
+from shiftfold import (
+    de_bruijn,
+    decompose,
+    invert,
+    order,
+    product_min,
+    shift_transducer,
+    single_state,
+    sync_level,
+)
 from shiftfold import cli
 from shiftfold.cli import main
 from shiftfold.formats import (
@@ -483,6 +492,50 @@ def test_huge_rule_window_is_refused_without_forming_the_power(tmp_path):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: table needs more than 2 entries (line 2)\n"
+
+
+def high_level_machine(case: str):
+    """`power`: the 682-state 7th power of the infinite-order element, at sync level 15.
+    `conjugate`: c^-1 h3_4 c with c its cube, an 897-state involution at level 16."""
+    h = h3_infinite()
+    if case == "power":
+        machine = h
+        for _ in range(6):
+            machine = product_min(machine, h)
+        return machine
+    cube = product_min(product_min(h, h), h)
+    h3_4 = parse_transducer(H3_INFINITE.with_name("h3_4.txt").read_text())
+    return product_min(product_min(invert(cube), h3_4), cube)
+
+
+@pytest.mark.parametrize(
+    "command, case, level",
+    [("trans2rule", "power", 15), ("subgroup-ag", "conjugate", 16)],
+)
+def test_forced_state_tables_past_the_de_bruijn_cap_are_refused(command, case, level, tmp_path):
+    """A level-k forced-state table has one entry per vertex of G(3, k), so it is refused
+    by that graph's cap of 10**6 transitions (3**16 and 3**17 here) before any table or
+    word list is built; both used to end in a `MemoryError` traceback under 1 GiB."""
+    machine = high_level_machine(case)
+    assert sync_level(machine.base) == level
+    path = tmp_path / f"{case}.txt"
+    path.write_text(render_transducer(machine))
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", command, str(path)],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: de Bruijn graph G(3, {level}) would have more than 1000000 transitions\n"
+    )
 
 
 def test_order_refuses_a_state_cap_past_the_element_limit():

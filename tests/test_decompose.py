@@ -16,8 +16,6 @@ from shiftfold import (
     equal_omega,
     identity_transducer,
     invert,
-    is_amalgamation,
-    is_collapse_equivalent,
     minimal_rep,
     order,
     product_min,
@@ -28,11 +26,15 @@ from shiftfold import (
 )
 from shiftfold.decompose import (
     alignment_permutation,
-    decompose_step,
     find_collapsible_pair,
     find_factor,
 )
-from conftest import h3_infinite, random_h3_elements
+from conftest import (
+    h3_infinite,
+    is_amalgamation,
+    is_collapse_equivalent,
+    random_h3_elements,
+)
 
 
 def test_find_collapsible_pair_fig(fig_transducer):
@@ -130,7 +132,8 @@ def test_find_factor_fig(fig_transducer):
 
 
 def test_decompose_step_shrinks_and_collapse_equivalence(fig_transducer):
-    step, reduced = decompose_step(fig_transducer)
+    step = decompose(fig_transducer).steps[0]
+    reduced = step.reduced
     assert reduced.state_count == 2
     assert is_collapse_equivalent(fig_transducer.base, reduced.base)
     assert sync_level(reduced.base) <= sync_level(fig_transducer.base)

@@ -20,6 +20,7 @@ from shiftfold import automata, congruence_closure
 from shiftfold.automata import (
     all_words,
     Automaton,
+    CapExceededError,
     StatePartition,
     core_of,
     core_states,
@@ -164,6 +165,20 @@ def test_forced_states_rejects_what_cannot_force(a, data):
     message = f"^automaton only synchronizes at level {k}, not {level}$"
     with pytest.raises(ValueError, match=message):
         forced_states(a, level)
+
+
+def test_forced_states_is_capped_like_de_bruijn():
+    """A level-k table lists the vertices of G(n, k), so it is refused exactly where
+    de_bruijn(n, k) is, with the same message: G(2, 18) has 2**19 transitions and is
+    built, G(2, 19) has 2**20, past 10**6."""
+    g = de_bruijn(2, 1)
+    assert len(forced_states(g, 18)) == 2**18 == de_bruijn(2, 18).state_count
+    for level in (19, 10**9):
+        message = f"^de Bruijn graph G\\(2, {level}\\) would have more than 1000000 transitions$"
+        with pytest.raises(CapExceededError, match=message):
+            forced_states(g, level)
+        with pytest.raises(CapExceededError, match=message):
+            de_bruijn(2, level)
 
 
 def test_analysis_runs_once_per_automaton(monkeypatch):
