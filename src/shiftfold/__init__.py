@@ -24,7 +24,6 @@ from .counting import (
     enumerate_foldings,
     join_foldings,
     moebius_R,
-    set_partitions,
 )
 from .decompose import (
     DecompositionStep,

@@ -174,10 +174,6 @@ class StatePartition:
     def discrete(cls, state_count: int) -> "StatePartition":
         return cls(tuple(range(state_count)), state_count)
 
-    @classmethod
-    def single(cls, state_count: int) -> "StatePartition":
-        return cls((0,) * state_count, 1 if state_count else 0)
-
     def representatives(self) -> list[int]:
         """The least state of each class, indexed by class."""
         rep = [-1] * self.class_count
@@ -191,15 +187,6 @@ class StatePartition:
         for s, c in enumerate(self.class_of):
             out[c].append(s)
         return out
-
-    def coarsens(self, other: "StatePartition") -> bool:
-        """True if every class of `other` is contained in a class of self."""
-        rep: dict[int, int] = {}
-        for s, c in enumerate(other.class_of):
-            mine = self.class_of[s]
-            if rep.setdefault(c, mine) != mine:
-                return False
-        return True
 
 
 def is_folding(a: Automaton, p: StatePartition) -> bool:

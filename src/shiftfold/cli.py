@@ -238,7 +238,7 @@ def cmd_fold_count(args) -> int:
 
 
 def cmd_fold_enum(args) -> int:
-    foldings = counting.enumerate_foldings(de_bruijn(args.n, args.m), method=args.method)
+    foldings = counting.enumerate_foldings(de_bruijn(args.n, args.m))
     text = "".join(" ".join(str(c) for c in p.class_of) + "\n" for p in foldings)
     _emit(text, args.output)
     return 0
@@ -298,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("order", cmd_order, "order of a group element", "file")
     p.add_argument("--cap", type=int, default=1_000)
     add("fold-count", cmd_fold_count, "count foldings of a de Bruijn graph", "n", "m")
-    p = add("fold-enum", cmd_fold_enum, "list foldings of a de Bruijn graph", "n", "m")
-    p.add_argument("--method", choices=("exhaustive", "lattice"), default="lattice")
+    add("fold-enum", cmd_fold_enum, "list foldings of a de Bruijn graph", "n", "m")
     add("bell", cmd_bell, "Bell number", "k")
     p = add("subgroup-ag", cmd_subgroup_ag, "automaton realizing a finite subgroup")
     p.add_argument("generators", nargs="+")

@@ -1,14 +1,14 @@
-"""Exact folding counts and folding enumeration: Bell numbers, set partitions, the
-signed partition sum R(s, t), the closed formula for word length 2, and the list of
-every folding of an automaton.
+"""Exact folding counts and folding enumeration: Bell numbers, the signed partition
+sum R(s, t), the closed formula for word length 2, and the list of every folding of
+an automaton.
 
 The foldings of a de Bruijn graph G(n, m) are listed level by level down the
 row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
 joins in its congruence lattice.  The exhaustive method, an independent cross-check of
 both for up to 12 states, grows each set partition state by state and cuts a prefix
 as soon as two states of one class lead to placed states of different classes
-(`_closed_prefix`).  Both methods count every folding against a cap.  Everything here
-is exact integer arithmetic; no floating point.
+(`_closed_prefix`).  Both methods count every folding against `LATTICE_CAP`.
+Everything here is exact integer arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -63,15 +63,6 @@ def _growth_strings(k: int, keep=None):
                 yield from descend(i + 1, max(top, c))
 
     yield from descend(1, 0)
-
-
-def set_partitions(k: int):
-    """All partitions of {0..k-1} as restricted growth strings, in lex order."""
-    if k < 0:
-        raise ValueError("set partitions are defined for non-negative sizes")
-    if k > EXHAUSTIVE_STATE_CAP:
-        raise CapExceededError(f"set partition enumeration capped at {EXHAUSTIVE_STATE_CAP}")
-    return _growth_strings(k)
 
 
 def _integer_partitions(t: int):
@@ -219,7 +210,7 @@ def _in_splits(delta):
             yield rows, tuple(firsts)
 
 
-def _de_bruijn_foldings(n: int, m: int, cap: int) -> list[StatePartition]:
+def _de_bruijn_foldings(n: int, m: int) -> list[StatePartition]:
     """All foldings of G(n, m), sorted by class table, listed level by level from G(n, 0).
 
     Merging the equal rows of G(n, j)/P gives G(n, j-1)/pi(P), where u ~ u' under pi(P)
@@ -227,11 +218,13 @@ def _de_bruijn_foldings(n: int, m: int, cap: int) -> list[StatePartition]:
     is an in-splitting of G(n, j-1)/pi(P) that the row merge folds back onto it (see
     `_in_splits`), and each such in-splitting gives one folding, which puts the word ux,
     for u in class a, in class rows[a][x].  Every folding thus arises once, from its
-    projection, with no dedupe.  The foldings of each level count against `cap`, and so
-    do its rejected choices, which bounds the work.  Each folding lifts at least to the
-    one that splits every pointer apart, so counts only grow with the level and a
-    refusal for too many foldings is truthful.
+    projection, with no dedupe.  The foldings of each level count against `LATTICE_CAP`,
+    and so do its rejected choices, which bounds the work.  Each folding lifts at least
+    to the one that splits every pointer apart, so counts only grow with the level and a
+    refusal for too many foldings is truthful; level 1 alone has Bell(n) of them.
     """
+    if bell(n) > LATTICE_CAP:
+        raise CapExceededError("folding lattice cap exceeded")
     level = [(((0,) * n,), [0])]  # G(n, 0): the empty word, in a one-state automaton
     for length in range(1, m + 1):
         lifted = []
@@ -249,7 +242,7 @@ def _de_bruijn_foldings(n: int, m: int, cap: int) -> list[StatePartition]:
                         spans = zip(rows, firsts, firsts[1:])
                         split_delta = tuple(r for r, lo, hi in spans for _ in range(lo, hi))
                         lifted.append((split_delta, table))
-                if len(lifted) > cap or rejected > cap:
+                if len(lifted) > LATTICE_CAP or rejected > LATTICE_CAP:
                     raise CapExceededError("folding lattice cap exceeded")
         level = lifted
     return sorted((StatePartition.from_class_of(t) for t in level), key=lambda p: p.class_of)
@@ -290,9 +283,7 @@ def _de_bruijn_length(a: Automaton) -> int | None:
     return m if a.delta == de_bruijn(n, m).delta else None
 
 
-def enumerate_foldings(
-    a: Automaton, method: str = "lattice", cap: int = LATTICE_CAP
-) -> list[StatePartition]:
+def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StatePartition]:
     """All foldings of A, sorted by class table.
 
     "exhaustive" walks the set partitions of the states as restricted growth strings,
@@ -302,7 +293,7 @@ def enumerate_foldings(
     foldings of G(n, m), in `de_bruijn`'s numbering, level by level down the row-merge
     sequence; for any other automaton it joins each folding found, breadth first from
     the discrete partition, with each principal congruence.  Either way it counts
-    every folding against `cap` and refuses past it.  Both methods include the
+    every folding against `LATTICE_CAP` and refuses past it.  Both methods include the
     discrete partition.
     """
     if method == "exhaustive":
@@ -311,14 +302,14 @@ def enumerate_foldings(
         found = []
         for rgs in _growth_strings(a.state_count, _closed_prefix(a)):
             found.append(StatePartition(rgs, max(rgs) + 1))
-            if len(found) > cap:
+            if len(found) > LATTICE_CAP:
                 raise CapExceededError("folding lattice cap exceeded")
         return found
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
     m = _de_bruijn_length(a)
     if m is not None:
-        return _de_bruijn_foldings(a.alphabet_size, m, cap)
+        return _de_bruijn_foldings(a.alphabet_size, m)
 
     m = a.state_count
     closures = (congruence_closure(a, [(p, q)]) for p in range(m) for q in range(p + 1, m))
@@ -327,7 +318,7 @@ def enumerate_foldings(
         StatePartition.discrete(m),
         lambda part: (join_foldings(a, part, gen) for gen in principals),
         lambda part: part.class_of,
-        cap,
+        LATTICE_CAP,
         "folding lattice",
     )
     return [part for _, part in sorted(found)]

@@ -58,7 +58,7 @@ def test_is_folding_fig_partition(fig_partition):
 def test_is_folding_trivial_partitions():
     g = de_bruijn(2, 2)
     assert is_folding(g, StatePartition.discrete(4))
-    assert is_folding(g, StatePartition.single(4))
+    assert is_folding(g, StatePartition.from_class_of([0] * 4))
 
 
 def test_is_folding_rejects_size_mismatch():
@@ -87,7 +87,7 @@ def test_quotient_discrete_is_identity():
 
 def test_quotient_single_class():
     g = de_bruijn(2, 2)
-    one = quotient(g, StatePartition.single(4))
+    one = quotient(g, StatePartition.from_class_of([0] * 4))
     assert one.state_count == 1
 
 
@@ -124,7 +124,8 @@ def test_sync_sequence_partitions_coarsen(fig_automaton):
         assert counts == sorted(counts, reverse=True)
         assert len(set(counts)) == len(counts)
         for (_, earlier), (_, later) in zip(seq.terms, seq.terms[1:]):
-            assert later.coarsens(earlier)
+            meet = StatePartition.from_class_of(zip(later.class_of, earlier.class_of))
+            assert meet == earlier
         assert len(seq.terms) <= a.state_count + 1
 
 

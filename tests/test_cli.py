@@ -10,6 +10,7 @@ import pytest
 from shiftfold import (
     de_bruijn,
     decompose,
+    enumerate_foldings,
     invert,
     order,
     product_min,
@@ -215,8 +216,9 @@ def test_fold_enum(capsys):
     assert lines[0] == "0 0 0 0"
     for n, m in [(2, 2), (2, 3), (3, 2), (4, 1)]:
         code, out = run(capsys, "fold-enum", str(n), str(m))
-        code2, out2 = run(capsys, "fold-enum", str(n), str(m), "--method", "exhaustive")
-        assert code == code2 == 0 and out2 == out
+        foldings = enumerate_foldings(de_bruijn(n, m), method="exhaustive")
+        tables = "".join(" ".join(map(str, p.class_of)) + "\n" for p in foldings)
+        assert code == 0 and out == tables
 
 
 def test_bell(capsys):
@@ -448,15 +450,17 @@ def test_de_bruijn_transition_table_is_capped(command):
         ["fold-count", "3", "3"],
         ["fold-enum", "5", "2"],
         ["fold-count", "13", "3"],
-        ["fold-enum", "11", "1", "--method", "exhaustive"],
-        ["fold-enum", "12", "1", "--method", "exhaustive"],
+        ["fold-enum", "11", "1"],
+        ["fold-enum", "12", "1"],
+        ["fold-enum", "600", "1"],
+        ["fold-enum", "1000", "1"],
     ],
 )
 def test_folding_lists_past_the_lattice_cap_are_refused(argv):
-    """G(2,5), G(3,3) and G(5,2) each have more foldings than `LATTICE_CAP`, and level 1
-    of G(13,3) alone has Bell(13) of them, more than `set_partitions` would take.  The
-    level-by-level listing finds that out in seconds, in a bounded address space, and so
-    does the exhaustive search on G(11,1) and G(12,1), with Bell(11) and Bell(12)."""
+    """G(2,5), G(3,3) and G(5,2) each have more foldings than `LATTICE_CAP`.  Level 1 of
+    G(n, m) alone has Bell(n) of them, past the cap from n = 11 on, so G(11,1), G(12,1),
+    G(13,3), G(600,1) and G(1000,1) are refused before any level is listed.  Each
+    refusal comes in seconds, in a bounded address space."""
     root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
     proc = subprocess.run(
