@@ -48,6 +48,8 @@ def _growth_strings(k: int, keep=None):
     a cap; k must be non-negative.  Given `keep`, a prefix rgs[:i+1] (i >= 1) is
     extended only while keep(rgs, i) holds, so `keep` must pass every prefix of a
     string it wants."""
+    if k < 0:
+        raise ValueError("set partitions are defined for non-negative sizes")
     if k == 0:
         yield ()
         return

@@ -37,7 +37,6 @@ def test_set_partitions_counts():
     assert sum(1 for _ in counting._growth_strings(3)) == 5
     assert sum(1 for _ in counting._growth_strings(1)) == 1
     assert sum(1 for _ in counting._growth_strings(4)) == 15
-    assert list(counting._growth_strings(0)) == [()]
 
 
 def test_set_partitions_are_restricted_growth():
@@ -51,6 +50,12 @@ def test_set_partitions_are_restricted_growth():
         if previous is not None:
             assert rgs > previous
         previous = rgs
+
+
+def test_set_partitions_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="non-negative"):
+        list(counting._growth_strings(-1))
+    assert list(counting._growth_strings(0)) == [()]
 
 
 def _moebius_oracle(s, t):
