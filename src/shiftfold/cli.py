@@ -16,6 +16,7 @@ from . import counting
 from .automata import (
     Automaton,
     CapExceededError,
+    StatePartition,
     core_of,
     de_bruijn,
     merge_terms,
@@ -224,21 +225,33 @@ def _bell(k: int) -> int:
     return value
 
 
+def _foldings_of_de_bruijn(n: int, m: int) -> list[StatePartition]:
+    """counting.enumerate_foldings(de_bruijn(n, m)), and for n = 1 the one folding of
+    G(1, m), whose single state reads its one letter back to itself."""
+    if n < 1:
+        raise ValueError("alphabet size must be at least 1")
+    if m < 1:
+        raise ValueError("word length must be at least 1")
+    if n == 1:
+        return [StatePartition.discrete(1)]
+    return counting.enumerate_foldings(de_bruijn(n, m))
+
+
 def cmd_fold_count(args) -> int:
+    if args.n < 1:
+        raise ValueError("alphabet size must be at least 1")
     if args.m == 1:
-        if args.n < 1:
-            raise ValueError("alphabet size must be at least 1")
         value = _bell(args.n)
     elif args.m == 2:
         value = counting.count_foldings_g_n_2(args.n)
     else:
-        value = len(counting.enumerate_foldings(de_bruijn(args.n, args.m)))
+        value = len(_foldings_of_de_bruijn(args.n, args.m))
     _emit(f"{value}\n", args.output)
     return 0
 
 
 def cmd_fold_enum(args) -> int:
-    foldings = counting.enumerate_foldings(de_bruijn(args.n, args.m))
+    foldings = _foldings_of_de_bruijn(args.n, args.m)
     text = "".join(" ".join(str(c) for c in p.class_of) + "\n" for p in foldings)
     _emit(text, args.output)
     return 0

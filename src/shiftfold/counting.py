@@ -4,7 +4,9 @@ an automaton.
 
 The foldings of a de Bruijn graph G(n, m) are listed level by level down the
 row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
-joins in its congruence lattice.  The exhaustive method, an independent cross-check of
+joins in its congruence lattice, each join a union-find closure seeded from the
+folding already found (`_close`), which also closes the principal congruences from
+the discrete partition.  The exhaustive method, an independent cross-check of
 both for up to 12 states, grows each set partition state by state and cuts a prefix
 as soon as two states of one class lead to placed states of different classes
 (`_closed_prefix`).  Both methods count every folding against `LATTICE_CAP`.
@@ -122,39 +124,47 @@ def count_foldings_g_n_2(n: int) -> int:
     return total
 
 
-def congruence_closure(a: Automaton, pairs) -> StatePartition:
-    """Least folding relation containing the given pairs (union-find closure)."""
-    parent = list(range(a.state_count))
+def _close(a: Automaton, part: StatePartition, pairs) -> StatePartition:
+    """Least folding above the folding `part` that relates each of `pairs`, or `part`
+    itself when no two classes merge.  A union-find over the classes of `part` (each
+    standing for its least state) merges each pair and then the successors of each
+    merge; a folding's classes already lead into classes, so nothing else is pushed
+    (Freese, "Computing congruences efficiently", 2008)."""
+    delta, class_of = a.delta, part.class_of
+    parent = list(range(part.class_count))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
 
-    work = [(p, q) for p, q in pairs]
+    merged = False
+    work = list(pairs)
     while work:
         p, q = work.pop()
-        rp, rq = find(p), find(q)
+        rp, rq = find(class_of[p]), find(class_of[q])
         if rp == rq:
             continue
         parent[rq] = rp
-        for x in range(a.alphabet_size):
-            work.append((a.delta[p][x], a.delta[q][x]))
-    return StatePartition.from_class_of(find(s) for s in range(a.state_count))
+        merged = True
+        work.extend(zip(delta[p], delta[q]))
+    if not merged:
+        return part
+    return StatePartition.from_class_of([find(c) for c in class_of])
+
+
+def congruence_closure(a: Automaton, pairs) -> StatePartition:
+    """Least folding relation containing the given pairs (union-find closure)."""
+    return _close(a, StatePartition.discrete(a.state_count), pairs)
 
 
 def join_foldings(a: Automaton, p1: StatePartition, p2: StatePartition) -> StatePartition:
-    """Least folding above two foldings."""
-    pairs = []
-    for part in (p1, p2):
-        firsts: dict[int, int] = {}
-        for s, c in enumerate(part.class_of):
-            if c in firsts:
-                pairs.append((firsts[c], s))
-            else:
-                firsts[c] = s
-    return congruence_closure(a, pairs)
+    """Least folding above two foldings: the closure of p1, which is trusted to be a
+    folding and not checked, with each state of p2 paired with its class's least
+    state.  Returns p1 itself when p2 lies below it."""
+    rep = p2.representatives()
+    return _close(a, p1, [(rep[c], s) for s, c in enumerate(p2.class_of) if rep[c] != s])
 
 
 def _in_splits(delta):

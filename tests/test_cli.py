@@ -569,11 +569,24 @@ def test_order_refuses_a_state_cap_past_the_element_limit():
 
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_fold_count_rejects_a_non_positive_alphabet(n, capsys):
-    for m in ("1", "2"):
-        code = main(["fold-count", n, m])
+    for command in ("fold-count", "fold-enum"):
+        for m in ("1", "2", "3"):
+            code = main([command, n, m])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (command, m)
+            assert captured.err == "error: alphabet size must be at least 1\n", (command, m)
+
+
+def test_one_letter_de_bruijn_graphs_have_one_folding_at_every_length(capsys):
+    """G(1, m) is one state with a loop, so its only folding is itself."""
+    for m in ("1", "2", "3", "8"):
+        assert run(capsys, "fold-count", "1", m) == (0, "1\n"), m
+        assert run(capsys, "fold-enum", "1", m) == (0, "0\n"), m
+    for command in ("fold-count", "fold-enum"):
+        code = main([command, "1", "0"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "", m
-        assert captured.err == "error: alphabet size must be at least 1\n", m
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: word length must be at least 1\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "subgroup-ag"])

@@ -201,7 +201,9 @@ def test_level_by_level_listing_equals_the_join_lattice(n, m, monkeypatch):
     renamed = reversed_states(g)
     assert renamed.delta != g.delta
     lattice = renamed_back(enumerate_foldings(renamed))
-    monkeypatch.setattr(counting, "congruence_closure", None)  # G(n, m) never reaches it
+    # G(n, m) never reaches the lattice: neither its closures nor its joins
+    monkeypatch.setattr(counting, "congruence_closure", None)
+    monkeypatch.setattr(counting, "join_foldings", None)
     assert enumerate_foldings(g) == lattice
 
 
@@ -294,6 +296,37 @@ def small_automata(draw):
 @given(small_automata())
 def test_exhaustive_search_equals_the_filter_on_random_automata(a):
     assert enumerate_foldings(a, method="exhaustive") == filtered_foldings(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_automata())
+def test_join_lattice_equals_the_exhaustive_search_on_random_automata(a):
+    assert enumerate_foldings(a) == enumerate_foldings(a, method="exhaustive")
+
+
+def pairs_of(p: StatePartition) -> list[tuple[int, int]]:
+    """Each state paired with the least state of its class."""
+    rep = p.representatives()
+    return [(rep[c], s) for s, c in enumerate(p.class_of)]
+
+
+def refines(q: StatePartition, p: StatePartition) -> bool:
+    """q <= p: every class of q lies inside a class of p."""
+    return StatePartition.from_class_of(zip(p.class_of, q.class_of)) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_automata(), st.data())
+def test_join_is_the_least_folding_above_both(a, data):
+    foldings = enumerate_foldings(a, method="exhaustive")
+    p1 = data.draw(st.sampled_from(foldings))
+    p2 = data.draw(st.sampled_from(foldings))
+    joined = join_foldings(a, p1, p2)
+    assert joined == congruence_closure(a, pairs_of(p1) + pairs_of(p2))
+    assert joined == join_foldings(a, p2, p1)
+    for p, q in ((p1, p2), (p2, p1), (p1, p1), (p1, StatePartition.discrete(a.state_count))):
+        if refines(q, p):
+            assert join_foldings(a, p, q) is p
 
 
 def test_exhaustive_search_never_filters_a_whole_partition(monkeypatch):
