@@ -4,18 +4,21 @@ an automaton.
 
 The foldings of a de Bruijn graph G(n, m) are listed level by level down the
 row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
-joins in its congruence lattice, each join a union-find closure seeded from the
-folding already found (`_close`), which also closes the principal congruences from
-the discrete partition.  The exhaustive method, an independent cross-check of
-both for up to 12 states, grows each set partition state by state and cuts a prefix
-as soon as two states of one class lead to placed states of different classes
-(`_closed_prefix`).  Both methods count every folding against `LATTICE_CAP`.
+joins in its congruence lattice.  A principal congruence is generated by one pair, so
+each join closes the folding already found with that one generating pair, by a
+union-find seeded from the found folding's classes (`_close`), which also closes the
+principal congruences from the discrete partition.  The exhaustive method, an
+independent cross-check of both for up to 12 states, grows each set partition state
+by state and cuts a prefix as soon as two states of one class lead to placed states
+of different classes (`_closed_prefix`).  Both methods count every folding against
+`LATTICE_CAP`.
 Everything here is exact integer arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .automata import (
@@ -155,14 +158,24 @@ def _close(a: Automaton, part: StatePartition, pairs) -> StatePartition:
 
 
 def congruence_closure(a: Automaton, pairs) -> StatePartition:
-    """Least folding relation containing the given pairs (union-find closure)."""
-    return _close(a, StatePartition.discrete(a.state_count), pairs)
+    """Least folding relation containing the given pairs (union-find closure).  Each
+    pair is two states of A, numbered 0..N-1; any other number raises ValueError."""
+    pairs = list(pairs)
+    n = a.state_count
+    if not all(0 <= s < n for pair in pairs for s in pair):
+        raise ValueError(f"pair names a state outside 0..{n - 1}")
+    return _close(a, StatePartition.discrete(n), pairs)
 
 
 def join_foldings(a: Automaton, p1: StatePartition, p2: StatePartition) -> StatePartition:
-    """Least folding above two foldings: the closure of p1, which is trusted to be a
-    folding and not checked, with each state of p2 paired with its class's least
-    state.  Returns p1 itself when p2 lies below it."""
+    """The public join of two foldings, the least folding above both: the closure of
+    p1, which is trusted to be a folding and not checked, with each state of p2 paired
+    with its class's least state.  Returns p1 itself when p2 lies below it.  Either
+    partition must have A's state count, or ValueError is raised.  The lattice of
+    `enumerate_foldings` does not call it: a principal congruence has one generating
+    pair, so it closes each found folding with that pair alone."""
+    if len(p1.class_of) != a.state_count or len(p2.class_of) != a.state_count:
+        raise ValueError("partition does not match automaton state count")
     rep = p2.representatives()
     return _close(a, p1, [(rep[c], s) for s, c in enumerate(p2.class_of) if rep[c] != s])
 
@@ -304,9 +317,11 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
     it still finds every folding and nothing else, already sorted.  "lattice" lists the
     foldings of G(n, m), in `de_bruijn`'s numbering, level by level down the row-merge
     sequence; for any other automaton it joins each folding found, breadth first from
-    the discrete partition, with each principal congruence.  Either way it counts
-    every folding against `LATTICE_CAP` and refuses past it.  Both methods include the
-    discrete partition.
+    the discrete partition, with each principal congruence.  Each distinct principal
+    keeps the first pair p < q, in lex order, that generates it, and the join is the
+    closure of the found folding with that pair alone, not `join_foldings` with the
+    whole principal.  Either way it counts every folding against `LATTICE_CAP` and
+    refuses past it.  Both methods include the discrete partition.
     """
     if method == "exhaustive":
         if a.state_count > EXHAUSTIVE_STATE_CAP:
@@ -324,11 +339,12 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
         return _de_bruijn_foldings(a.alphabet_size, m)
 
     m = a.state_count
-    closures = (congruence_closure(a, [(p, q)]) for p in range(m) for q in range(p + 1, m))
-    principals = list({c.class_of: c for c in closures}.values())
+    generators: dict = {}  # each principal congruence's first pair p < q, in lex order
+    for p, q in combinations(range(m), 2):
+        generators.setdefault(congruence_closure(a, [(p, q)]).class_of, [(p, q)])
     found = reachable(
         StatePartition.discrete(m),
-        lambda part: (join_foldings(a, part, gen) for gen in principals),
+        lambda part: (_close(a, part, gen) for gen in generators.values()),
         lambda part: part.class_of,
         LATTICE_CAP,
         "folding lattice",

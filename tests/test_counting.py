@@ -3,7 +3,7 @@ import time
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftfold import (
@@ -124,6 +124,22 @@ def test_congruence_closure_propagates():
     assert is_folding(g, p)
 
 
+def test_congruence_closure_refuses_a_state_outside_the_automaton():
+    g = de_bruijn(2, 2)
+    for pair in [(-1, 0), (0, 9), (4, 0)]:
+        with pytest.raises(ValueError, match="outside 0..3"):
+            congruence_closure(g, [(0, 1), pair])
+
+
+def test_join_foldings_refuses_a_partition_of_another_size():
+    g = de_bruijn(2, 2)
+    four = StatePartition.discrete(4)
+    for p1, p2 in [(StatePartition.discrete(3), four), (StatePartition.discrete(5), four),
+                   (four, StatePartition.discrete(3))]:
+        with pytest.raises(ValueError, match="does not match automaton state count"):
+            join_foldings(g, p1, p2)
+
+
 def test_congruence_closure_all_pairs():
     g = de_bruijn(2, 3)
     pairs = [(p, q) for p in range(8) for q in range(8)]
@@ -201,9 +217,10 @@ def test_level_by_level_listing_equals_the_join_lattice(n, m, monkeypatch):
     renamed = reversed_states(g)
     assert renamed.delta != g.delta
     lattice = renamed_back(enumerate_foldings(renamed))
-    # G(n, m) never reaches the lattice: neither its closures nor its joins
+    # G(n, m) never reaches the lattice: every closure and join runs through _close
     monkeypatch.setattr(counting, "congruence_closure", None)
     monkeypatch.setattr(counting, "join_foldings", None)
+    monkeypatch.setattr(counting, "_close", None)
     assert enumerate_foldings(g) == lattice
 
 
@@ -329,6 +346,20 @@ def test_join_is_the_least_folding_above_both(a, data):
             assert join_foldings(a, p, q) is p
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_automata(), st.data())
+def test_joining_a_principal_congruence_closes_with_its_one_pair(a, data):
+    """Cg(p, q) is generated by (p, q), so P joined with it is P closed with (p, q):
+    the join the lattice of `enumerate_foldings` runs."""
+    k = a.state_count
+    assume(k >= 2)
+    part = data.draw(st.sampled_from(enumerate_foldings(a, method="exhaustive")))
+    p = data.draw(st.integers(0, k - 2))
+    q = data.draw(st.integers(p + 1, k - 1))
+    joined = join_foldings(a, part, congruence_closure(a, [(p, q)]))
+    assert counting._close(a, part, [(p, q)]) == joined
+
+
 def test_exhaustive_search_never_filters_a_whole_partition(monkeypatch):
     """Every prefix is cut or kept as it grows, so no full partition is tested again."""
 
@@ -351,6 +382,21 @@ def test_exhaustive_search_lists_a_twelve_state_quotient_in_seconds():
     found = enumerate_foldings(q, method="exhaustive")
     assert time.perf_counter() - start < 2
     assert len(found) == 160 and found == enumerate_foldings(q)
+
+
+def test_join_lattice_equals_the_exhaustive_search_on_renamed_quotients_of_g24():
+    """Quotients of 10 to 12 states, past `small_automata`.  Each pair (s, s + 8) of
+    G(2, 4) closes to itself alone, so closing k of them leaves 16 - k states."""
+    g = de_bruijn(2, 4)
+    merges = [(0, 1, 4, 5, 6, 7), (0, 1, 2, 3, 4, 7), (0, 3, 5, 6, 7), (1, 2, 3, 4, 6), (0, 1, 4, 7)]
+    parts = [congruence_closure(g, [(s, s + 8) for s in merged]) for merged in merges]
+    parts.append(StatePartition.from_class_of(TWELVE_STATE_FOLDING))
+    assert [p.class_count for p in parts] == [10, 10, 11, 11, 12, 12]
+    rng = random.Random(4)
+    for part in parts:
+        q = quotient(g, part)
+        a = renamed_states(q, rng.sample(range(q.state_count), q.state_count))
+        assert enumerate_foldings(a) == enumerate_foldings(a, method="exhaustive")
 
 
 def test_unknown_method():
