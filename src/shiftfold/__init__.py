@@ -72,6 +72,7 @@ from .transducers import (
     canonical_rep,
     core,
     equal_omega,
+    hn_levels,
     identity_transducer,
     invert,
     is_in_hn,

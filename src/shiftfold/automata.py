@@ -9,9 +9,10 @@ two threads racing on a fresh automaton only compute the same value twice.
 
 Tables are checked where they come in: the public constructors (`Automaton`,
 `StatePartition`) and the parsers check every entry.  Tables the library
-builds from checked ones (`quotient`, `core_of` and the machines that
-`shiftfold.transducers` builds) are trusted and built with `_trusted`, which
-skips that check.
+builds from checked ones (`quotient`, `core_of`, the machines that
+`shiftfold.transducers` builds and the congruence closures of
+`shiftfold.counting`) are trusted and built with `_trusted`, which skips that
+check.
 """
 
 from __future__ import annotations

@@ -40,10 +40,9 @@ from .rules import rule_to_transducer, transducer_to_rule
 from .subgroups import subgroup_automaton, subgroup_closure
 from .transducers import (
     Transducer,
-    bisync_levels,
     core,
+    hn_levels,
     invert,
-    is_in_hn,
     order,
     product_min,
     weak_minimize,
@@ -125,10 +124,9 @@ def cmd_invert(args) -> int:
 
 
 def cmd_check_hn(args) -> int:
-    t = _load_transducer(args.file)
-    if is_in_hn(t):
-        j, k = bisync_levels(t)
-        _emit(f"in-hn: true\nlevels: ({j}, {k})\n", args.output)
+    levels = hn_levels(_load_transducer(args.file))
+    if levels is not None:
+        _emit(f"in-hn: true\nlevels: {levels}\n", args.output)
         return 0
     _emit("in-hn: false\n", args.output)
     return 1

@@ -7,25 +7,28 @@ row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
 joins in its congruence lattice.  A principal congruence is generated by one pair, so
 each join closes the folding already found with that one generating pair, by a
 union-find seeded from the found folding's classes (`_close`), which also closes the
-principal congruences from the discrete partition.  The exhaustive method, an
-independent cross-check of both for up to 12 states, grows each set partition state
-by state and cuts a prefix as soon as two states of one class lead to placed states
-of different classes (`_closed_prefix`).  Both methods count every folding against
-`LATTICE_CAP`.
+principal congruences from the discrete partition; its unions keep the least class as
+root, so one forward pass resolves the roots and relabels the result by first
+occurrence.  The exhaustive method, an independent cross-check of both for up to 12
+states, grows each set partition state by state and cuts a prefix as soon as two states
+of one class lead to placed states of different classes (`_closed_prefix`).  Both
+methods count every folding against `LATTICE_CAP`.
 Everything here is exact integer arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial
+from operator import eq
 
 from .automata import (
     STATE_CAP,
     Automaton,
     CapExceededError,
     StatePartition,
+    _trusted,
     de_bruijn,
     reachable,
 )
@@ -132,9 +135,16 @@ def _close(a: Automaton, part: StatePartition, pairs) -> StatePartition:
     itself when no two classes merge.  A union-find over the classes of `part` (each
     standing for its least state) merges each pair and then the successors of each
     merge; a folding's classes already lead into classes, so nothing else is pushed
-    (Freese, "Computing congruences efficiently", 2008)."""
+    (Freese, "Computing congruences efficiently", 2008).
+
+    Each union hangs the larger root under the smaller, so parent[c] <= c and each root is
+    the least class of its merged class; one forward pass of parent[c] = parent[parent[c]]
+    resolves every root.  The classes of `part` are numbered by first occurrence, so
+    counting the roots in class order numbers the merged classes the same way, and the
+    table is built without a further check."""
     delta, class_of = a.delta, part.class_of
-    parent = list(range(part.class_count))
+    k = part.class_count
+    parent = list(range(k))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -149,12 +159,21 @@ def _close(a: Automaton, part: StatePartition, pairs) -> StatePartition:
         rp, rq = find(class_of[p]), find(class_of[q])
         if rp == rq:
             continue
-        parent[rq] = rp
+        if rp < rq:
+            parent[rq] = rp
+        else:
+            parent[rp] = rq
         merged = True
         work.extend(zip(delta[p], delta[q]))
     if not merged:
         return part
-    return StatePartition.from_class_of([find(c) for c in class_of])
+    for c in range(k):
+        parent[c] = parent[parent[c]]
+    # rank[c]: the roots among classes 1..c, so a root's index among the merged classes
+    rank = list(accumulate(map(eq, parent[1:], range(1, k)), initial=0))
+    label = list(map(rank.__getitem__, parent))
+    table = tuple(map(label.__getitem__, class_of))
+    return _trusted(StatePartition, class_of=table, class_count=rank[-1] + 1)
 
 
 def congruence_closure(a: Automaton, pairs) -> StatePartition:

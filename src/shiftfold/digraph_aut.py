@@ -159,7 +159,10 @@ def _vertex_perms(a: Automaton):
 
 
 def enumerate_automorphisms(a: Automaton, cap: int = 10_000) -> list[DigraphAutomorphism]:
-    """All digraph automorphisms, in lexicographic (vertex map, edge map) order."""
+    """All digraph automorphisms, in lexicographic (vertex map, edge map) order; past `cap`
+    of them CapExceededError, and a negative cap is refused with ValueError."""
+    if cap < 0:
+        raise ValueError(f"automorphism cap {cap} is negative")
     n = a.alphabet_size
     m = a.state_count
     letters_to: list[dict[int, list[int]]] = []

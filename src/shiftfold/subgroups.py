@@ -137,7 +137,10 @@ def subgroup_closure(gens, cap: int = 512) -> SubgroupClosure:
     is refused past `cap` elements, the identity counted, or at an element past
     `ELEMENT_STATE_CAP` states, as torsion generators of an infinite group reach; a product
     past that cap is refused before it is canonicalized.  Elements are keyed by canonical
-    representatives, identical exactly when the elements are equal."""
+    representatives, identical exactly when the elements are equal.  A negative `cap` is
+    refused with ValueError."""
+    if cap < 0:
+        raise ValueError(f"subgroup closure cap {cap} is negative")
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")

@@ -300,21 +300,30 @@ def bisync_levels(t: Transducer) -> tuple[int, int] | None:
     return (j, k)
 
 
-def _hn_minimized(t: Transducer) -> Transducer | None:
-    """`weak_minimize(t)` when T is a core invertible bisynchronizing machine, else None.
+def _hn_member(t: Transducer) -> tuple[Transducer, tuple[int, int]] | None:
+    """(`weak_minimize(t)`, `bisync_levels(t)`) when T is a core invertible bisynchronizing
+    machine, else None.
 
     A member's minimization is core, so it is T's minimal core representative up to the
     numbering of its states: `minimal_rep(t)` itself whenever T is core.
     """
-    if bisync_levels(t) is None:
+    levels = bisync_levels(t)
+    if levels is None:
         return None
     reduced = weak_minimize(t)
-    return reduced if is_core(reduced.base) else None
+    return (reduced, levels) if is_core(reduced.base) else None
 
 
 def is_in_hn(t: Transducer) -> bool:
     """Membership in the group of core invertible bisynchronizing machines."""
-    return _hn_minimized(t) is not None
+    return _hn_member(t) is not None
+
+
+def hn_levels(t: Transducer) -> tuple[int, int] | None:
+    """`bisync_levels(t)` when T is in H_n, else None: the membership test and the levels
+    from one analysis of T and its inverse."""
+    member = _hn_member(t)
+    return None if member is None else member[1]
 
 
 def canonical_key(t: Transducer) -> bytes:
@@ -385,14 +394,19 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     order exceeds `cap_iters`, or that some minimal power T^j with j >= 2, short of the
     identity, has more than `cap_states` states; powers of infinite-order elements, which
     grow without bound, trip the state cap.  The base T^1 is not held to the cap: a 4-state
-    involution has order 2 even at `cap_states=1`.  A cap above `ELEMENT_STATE_CAP` is
-    refused before any product is formed.
+    involution has order 2 even at `cap_states=1`.  A state cap above `ELEMENT_STATE_CAP`
+    and a negative cap are refused with ValueError before any product is formed.
     """
+    if cap_states < 0:
+        raise ValueError(f"order state cap {cap_states} is negative")
+    if cap_iters < 0:
+        raise ValueError(f"order iteration cap {cap_iters} is negative")
     if cap_states > ELEMENT_STATE_CAP:
         raise ValueError(f"order state cap {cap_states} exceeds the limit of {ELEMENT_STATE_CAP}")
-    base = _hn_minimized(t)
-    if base is None:
+    member = _hn_member(t)
+    if member is None:
         raise ValueError("order is defined only for invertible bisynchronizing machines")
+    base = member[0]
     n = t.alphabet_size
     ident = tuple(range(n))
     power, output = base, base.output

@@ -139,6 +139,16 @@ def test_check_hn_verdicts(fig_file, tmp_path, capsys):
     assert out == "in-hn: false\n"
 
 
+def test_check_hn_analyses_the_machine_and_its_inverse_once(fig_file, capsys, monkeypatch):
+    from shiftfold import transducers
+
+    calls = []
+    original = transducers.invert
+    monkeypatch.setattr(transducers, "invert", lambda t: calls.append(t) or original(t))
+    assert run(capsys, "check-hn", fig_file) == (0, "in-hn: true\nlevels: (2, 2)\n")
+    assert len(calls) == 1
+
+
 def test_rule_conversions(tmp_path, capsys):
     rule_file = tmp_path / "shift.rule"
     rule_file.write_text(render_rule(shift_rule(2)))
@@ -321,6 +331,27 @@ def test_decompose_of_a_refused_input_creates_no_directory(tmp_path, capsys):
 
 def test_cap_exit_code(fig_file, capsys):
     code, _ = run(capsys, "aut", fig_file, "--cap", "2")
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["aut", "--cap", "-1"], "automorphism cap -1 is negative"),
+        (["order", "--cap", "-5"], "order state cap -5 is negative"),
+        (["subgroup-ag", "--cap", "-1"], "subgroup closure cap -1 is negative"),
+    ],
+)
+def test_negative_caps_are_refused(fig_file, capsys, argv, message):
+    """A negative cap is a bad argument (exit 2), not a search that hit its cap (exit 3);
+    `--cap 0` is still a cap that every search hits."""
+    command, *flags = argv
+    code = main([command, fig_file, *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    code = main([command, fig_file, "--cap", "0"])
+    captured = capsys.readouterr()
     assert code == 3
 
 

@@ -360,6 +360,30 @@ def test_joining_a_principal_congruence_closes_with_its_one_pair(a, data):
     assert counting._close(a, part, [(p, q)]) == joined
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_automata(), st.data())
+def test_closure_is_the_least_listed_folding_above_its_seed(a, data):
+    """The oracle reads the exhaustive list, not `_close`: of the foldings above `part`
+    that relate every pair, the least is the one with the most classes, and it lies below
+    all the others.  `_close` builds its result without the constructor's check, so the
+    check runs here, and it returns `part` itself exactly when nothing merges."""
+    foldings = enumerate_foldings(a, method="exhaustive")
+    part = data.draw(st.sampled_from(foldings))
+    state = st.integers(0, a.state_count - 1)
+    pairs = data.draw(st.lists(st.tuples(state, state), min_size=1, max_size=3))
+    above = [
+        f for f in foldings
+        if refines(part, f) and all(f.class_of[p] == f.class_of[q] for p, q in pairs)
+    ]
+    least = max(above, key=lambda f: f.class_count)
+    assert all(refines(least, f) for f in above)
+    closed = counting._close(a, part, pairs)
+    assert closed == least
+    assert StatePartition(closed.class_of, closed.class_count) == closed
+    assert {type(c) for c in closed.class_of} == {int}
+    assert (closed is part) == (least == part)
+
+
 def test_exhaustive_search_never_filters_a_whole_partition(monkeypatch):
     """Every prefix is cut or kept as it grows, so no full partition is tested again."""
 

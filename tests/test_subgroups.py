@@ -143,6 +143,24 @@ def test_subgroup_closure_cap(fig_automaton):
         subgroup_closure(gens, cap=2)
 
 
+def test_negative_caps_are_refused_before_any_search(fig_automaton, fig_transducer):
+    """A negative cap is a bad argument, not a cap that the search hit; a cap of 0 is
+    still hit, since each search finds at least the identity."""
+    with pytest.raises(ValueError, match="automorphism cap -1 is negative"):
+        enumerate_automorphisms(fig_automaton, cap=-1)
+    with pytest.raises(ValueError, match="subgroup closure cap -1 is negative"):
+        subgroup_closure([fig_transducer], cap=-1)
+    with pytest.raises(ValueError, match="order state cap -5 is negative"):
+        order(fig_transducer, cap_states=-5)
+    with pytest.raises(ValueError, match="order iteration cap -1 is negative"):
+        order(fig_transducer, cap_iters=-1)
+    with pytest.raises(CapExceededError):
+        enumerate_automorphisms(fig_automaton, cap=0)
+    with pytest.raises(CapExceededError):
+        subgroup_closure([fig_transducer], cap=0)
+    assert order(fig_transducer, cap_iters=0) is None
+
+
 def two_sided_closure_keys(gens) -> set[bytes]:
     """Reference closure: every element times every element on both sides, plus inverses."""
     elements: dict[bytes, object] = {}

@@ -11,6 +11,7 @@ from shiftfold import (
     canonical_key,
     core,
     equal_omega,
+    hn_levels,
     identity_transducer,
     invert,
     is_core,
@@ -150,6 +151,16 @@ def test_double_inversion_is_isomorphic(h3_pool):
 def test_bisync_levels_fig(fig_transducer):
     assert bisync_levels(fig_transducer) == (2, 2)
     assert is_in_hn(fig_transducer)
+    assert hn_levels(fig_transducer) == (2, 2)
+
+
+def test_hn_levels_are_none_outside_h_n():
+    """A transient state with its own output row: bisynchronizing, but not core."""
+    t = Transducer(Automaton(2, ((1, 1), (1, 1))), ((1, 0), (0, 1)))
+    assert bisync_levels(t) == (1, 1)
+    assert not is_in_hn(t) and hn_levels(t) is None
+    assert hn_levels(shift_transducer(2)) is None
+    assert hn_levels(single_state((1, 0))) == (0, 0)
 
 
 def test_bisync_levels_one_state():
@@ -162,7 +173,7 @@ def test_bisync_levels_of_a_machine_whose_inverse_does_not_synchronize():
     assert is_invertible(t) and sync_level(t.base) == 1
     assert sync_level(invert(t).base) is None
     assert bisync_levels(t) is None
-    assert not is_in_hn(t)
+    assert not is_in_hn(t) and hn_levels(t) is None
 
 
 def test_equal_omega_respects_renaming(fig_transducer):
