@@ -17,7 +17,6 @@ check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -384,20 +383,3 @@ def is_isomorphic(a: Automaton, b: Automaton) -> bool:
     if a.alphabet_size != b.alphabet_size or a.state_count != b.state_count:
         return False
     return canonical_form(a) == canonical_form(b)
-
-
-def reachable(start, successors, key, cap: int, what: str):
-    """Yield (key, element) breadth first from `start`, once per key in discovery order,
-    raising past `cap` keys (the start's included); `successors` runs on admission."""
-    seen = set()
-    batches = deque([(start,)])
-    while batches:
-        for element in batches.popleft():
-            k = key(element)
-            if k in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceededError(f"{what} cap exceeded")
-            seen.add(k)
-            yield k, element
-            batches.append(successors(element))

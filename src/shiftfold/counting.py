@@ -2,17 +2,18 @@
 sum R(s, t), the closed formula for word length 2, and the list of every folding of
 an automaton.
 
-The foldings of a de Bruijn graph G(n, m) are listed level by level down the
-row-merge sequence (`_de_bruijn_foldings`); every other automaton's are found by
-joins in its congruence lattice.  A principal congruence is generated by one pair, so
-each join closes the folding already found with that one generating pair, by a
-union-find seeded from the found folding's classes (`_close`), which also closes the
-principal congruences from the discrete partition; its unions keep the least class as
-root, so one forward pass resolves the roots and relabels the result by first
-occurrence.  The exhaustive method, an independent cross-check of both for up to 12
-states, grows each set partition state by state and cuts a prefix as soon as two states
-of one class lead to placed states of different classes (`_closed_prefix`).  Both
-methods count every folding against `LATTICE_CAP`.
+The foldings of a de Bruijn graph G(n, m) are listed level by level down the row-merge
+sequence (`_de_bruijn_foldings`); every other automaton's are listed breadth first by
+joins in its congruence lattice, from a worklist that grows while it is read.  A
+principal congruence is generated by one pair, so each join closes the folding already
+found with that one generating pair, by a union-find seeded from the found folding's
+classes (`_close`), which also closes the principal congruences from the discrete
+partition; its unions keep the least class as root, so one forward pass resolves the
+roots and relabels the result by first occurrence.  The exhaustive method, an
+independent cross-check of both for up to 12 states, grows each set partition state by
+state and cuts a prefix as soon as two states of one class lead to placed states of
+different classes (`_closed_prefix`).  Both methods count every folding, the discrete
+partition included, against `LATTICE_CAP`.
 Everything here is exact integer arithmetic; no floating point.
 """
 
@@ -30,7 +31,6 @@ from .automata import (
     StatePartition,
     _trusted,
     de_bruijn,
-    reachable,
 )
 
 EXHAUSTIVE_STATE_CAP = 12
@@ -335,12 +335,14 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
     prefix has no folding among its completions and the last test is `is_folding`, so
     it still finds every folding and nothing else, already sorted.  "lattice" lists the
     foldings of G(n, m), in `de_bruijn`'s numbering, level by level down the row-merge
-    sequence; for any other automaton it joins each folding found, breadth first from
-    the discrete partition, with each principal congruence.  Each distinct principal
+    sequence; for any other automaton it lists the lattice breadth first by a worklist,
+    a list of foldings that starts at the discrete partition and grows while it is read,
+    joining each folding in it with each principal congruence.  Each distinct principal
     keeps the first pair p < q, in lex order, that generates it, and the join is the
     closure of the found folding with that pair alone, not `join_foldings` with the
-    whole principal.  Either way it counts every folding against `LATTICE_CAP` and
-    refuses past it.  Both methods include the discrete partition.
+    whole principal.  Either way it counts every folding, the discrete partition
+    included, against `LATTICE_CAP` and refuses past it.  Both methods include the
+    discrete partition.
     """
     if method == "exhaustive":
         if a.state_count > EXHAUSTIVE_STATE_CAP:
@@ -361,11 +363,14 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
     generators: dict = {}  # each principal congruence's first pair p < q, in lex order
     for p, q in combinations(range(m), 2):
         generators.setdefault(congruence_closure(a, [(p, q)]).class_of, [(p, q)])
-    found = reachable(
-        StatePartition.discrete(m),
-        lambda part: (_close(a, part, gen) for gen in generators.values()),
-        lambda part: part.class_of,
-        LATTICE_CAP,
-        "folding lattice",
-    )
-    return [part for _, part in sorted(found)]
+    found = [StatePartition.discrete(m)]
+    seen = {found[0].class_of}
+    for part in found:  # breadth first: `found` grows while it is read
+        for gen in generators.values():
+            join = _close(a, part, gen)
+            if join.class_of not in seen:
+                if len(seen) >= LATTICE_CAP:
+                    raise CapExceededError("folding lattice cap exceeded")
+                seen.add(join.class_of)
+                found.append(join)
+    return sorted(found, key=lambda p: p.class_of)

@@ -102,7 +102,8 @@ def extend(f: LocalRule, k: int) -> LocalRule:
     if k == 0:
         return f
     n = f.alphabet_size
-    if n ** (f.window + k) > STATE_CAP:
+    # n >= 2, so a width past the cap's bit length is refused before n**width is formed
+    if f.window + k >= STATE_CAP.bit_length() or n ** (f.window + k) > STATE_CAP:
         raise CapExceededError("extended rule table would exceed the size cap")
     table = tuple(f.table[r] for _ in range(n**k) for r in range(len(f.table)))
     return LocalRule(n, f.window + k, table)

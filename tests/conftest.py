@@ -30,7 +30,7 @@ from shiftfold import (
     quotient,
     transducer_from_automorphism,
 )
-from shiftfold.automata import reachable, row_merge_partition
+from shiftfold.automata import CapExceededError, row_merge_partition
 from shiftfold.digraph_aut import edge_count_matrix
 from shiftfold.formats import parse_transducer
 
@@ -114,14 +114,28 @@ def oracle_weak_minimize(t):
 
 
 def merge_search(start, target, size, merges, key, cap: int, what: str) -> bool:
-    """Can `start` reach `target`'s key by merges, each one state smaller (BFS under a cap)?"""
+    """Can `start` reach `target`'s key by merges, each one state smaller (BFS under a cap)?
+    The cap counts keys, the start's included, and is checked before a new key is
+    admitted; the goal is tested as its key is admitted."""
     goal_size, goal = size(target), key(target)
     if size(start) < goal_size:
         return False
-    found = reachable(
-        start, lambda x: merges(x) if size(x) > goal_size else (), key, cap, f"{what} search"
-    )
-    return any(k == goal for k, _ in found)
+    found, seen = [start], {key(start)}
+    if goal in seen:
+        return True
+    for x in found:  # breadth first: `found` grows while it is read
+        if size(x) <= goal_size:
+            continue
+        for y in merges(x):
+            k = key(y)
+            if k not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(f"{what} search cap exceeded")
+                if k == goal:
+                    return True
+                seen.add(k)
+                found.append(y)
+    return False
 
 
 def _row_merges(a: Automaton):

@@ -1,8 +1,12 @@
 import argparse
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import conftest
+import shiftfold
 from shiftfold import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,3 +33,14 @@ def test_readme_command_table_matches_the_parser():
     for name, sub in subparsers.choices.items():
         options = {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
         assert listed[name] == options - {"--output", "--help"}, name
+
+
+def test_readme_library_tour_names_real_code():
+    """Each backticked bare name between "## Library tour" and "A quick session" is an
+    attribute of some `shiftfold` module or of `tests/conftest.py`, home of the test oracles."""
+    tour = README.read_text().split("## Library tour", 1)[1].split("A quick session", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_]\w*)`", tour))
+    submodules = pkgutil.iter_modules(shiftfold.__path__)
+    modules = [conftest] + [importlib.import_module(f"shiftfold.{m.name}") for m in submodules]
+    assert names
+    assert [name for name in sorted(names) if not any(hasattr(m, name) for m in modules)] == []

@@ -1,7 +1,11 @@
 import random
+import time
 from itertools import product as iproduct
 
+import pytest
+
 from shiftfold import (
+    CapExceededError,
     LocalRule,
     apply_windows,
     compose,
@@ -73,6 +77,15 @@ def test_extend_agrees_on_common_inputs():
         wide = extend(RULE_G, k)
         x = tuple(rng.randrange(3) for _ in range(wide.window))
         assert wide.value(x) == RULE_G.value(x[k:])
+
+
+def test_extend_refuses_a_huge_width_at_once():
+    """The width is checked against the cap's bit length before n ** width is formed."""
+    for rule, k in [(identity_rule(2), 10**18), (identity_rule(3), 10**9)]:
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="^extended rule table would exceed the size cap$"):
+            extend(rule, k)
+        assert time.perf_counter() - start < 1
 
 
 def test_compose_with_identity():
