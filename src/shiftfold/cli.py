@@ -177,7 +177,7 @@ def cmd_decompose(args) -> int:
 
     _write(outdir / "remainder.txt", render_transducer(result.remainder))
     lines = [f"factorization of {args.file}"]
-    lines.append(f"remainder: remainder.txt order={order(result.remainder)}")
+    lines.append(f"remainder: remainder.txt order={order(result.remainder) or 'exceeds-cap'}")
     sources = [
         step
         for step in reversed(result.steps)
@@ -187,7 +187,7 @@ def cmd_decompose(args) -> int:
         name = f"factor_{idx:02d}.txt"
         _write(outdir / name, render_transducer(factor))
         lines.append(
-            f"factor {idx}: {name} order={order(factor)}"
+            f"factor {idx}: {name} order={order(factor) or 'exceeds-cap'}"
             f" level={step.level_i} pair={step.pair}"
         )
     lines.append("reconstruction: remainder then factors in listed order")

@@ -24,7 +24,6 @@ from .transducers import (
     equal_omega,
     invert,
     is_in_hn,
-    order,
     product_min,
     renumber,
 )
@@ -97,18 +96,12 @@ def find_factor(
     raise AssertionError("no usable synchronizing-sequence term; input outside the group")
 
 
-def _derive(t: Transducer, p: int, q: int, split: bool) -> tuple[int, Transducer, list | None]:
-    """Level and glued factor collapsing p and q, plus its involution pieces if `split` (else
-    None), glued unchecked as `relabeling` checked each; shared by `_step` and `verify`."""
-    level, term, tau, h = find_factor(t, p, q)
-    if not split:
-        return level, h, None
-    return level, h, [Transducer(term, x.edge_letters) for x in involution_factors(term, tau)]
-
-
 def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:
+    """Multiply T by the factor h collapsing its least collapsible pair, split into involutions
+    if `split`.  h and its pieces are glued from checked automorphisms, so have finite order."""
     p, q = find_collapsible_pair(t)
-    level, h, pieces = _derive(t, p, q, split)
+    level, term, tau, h = find_factor(t, p, q)
+    pieces = involution_factors(term, tau) if split else None
     reduced = renumber(product_min(t, h))
     if reduced.state_count >= t.state_count:
         raise AssertionError("decomposition step failed to shrink the machine")
@@ -118,7 +111,9 @@ def _step(t: Transducer, split: bool) -> tuple[DecompositionStep, Transducer]:
         level_i=level,
         factor=canonical_rep(h),
         reduced=reduced,
-        involutions=None if pieces is None else tuple(map(canonical_rep, pieces)),
+        involutions=None
+        if pieces is None
+        else tuple(canonical_rep(Transducer(term, x.edge_letters)) for x in pieces),
     )
     return step, reduced
 
@@ -157,23 +152,12 @@ def decompose_involutions(t: Transducer) -> Factorization:
 
 
 def verify(f: Factorization) -> bool:
-    """Re-multiply remainder and factors and re-derive each step's certificate."""
+    """Re-multiply remainder and listed factors into the original, then decompose the original
+    again and compare field by field: every step, listed factor and the remainder."""
     acc = f.remainder
     for factor in f.inverse_factors:
         acc = product_min(acc, factor)
     if not equal_omega(acc, f.original):
         return False
-    current = f.original
-    for step in f.steps:
-        if order(step.factor) is None:
-            return False
-        level, h, pieces = _derive(current, *step.pair, step.involutions is not None)
-        if level != step.level_i or not equal_omega(h, step.factor):
-            return False
-        if pieces is not None and (
-            len(pieces) != len(step.involutions)
-            or not all(map(equal_omega, pieces, step.involutions))
-        ):
-            return False
-        current = step.reduced
-    return current.state_count == 1
+    split = any(step.involutions is not None for step in f.steps)
+    return _decompose(f.original, split) == f

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial, prod
 
 from .automata import Automaton, CapExceededError, forced_states, is_core, sync_level
 from .transducers import (
@@ -171,9 +172,13 @@ def enumerate_automorphisms(a: Automaton, cap: int = 10_000) -> list[DigraphAuto
         for x in range(n):
             classes.setdefault(a.delta[p][x], []).append(x)
         letters_to.append(classes)
+    # each vertex map extends once per choice of bijections between matched parallel classes
+    extensions = prod(factorial(len(c)) for classes in letters_to for c in classes.values())
 
     out: list[DigraphAutomorphism] = []
     for vperm in _vertex_perms(a):
+        if len(out) + extensions > cap:
+            raise CapExceededError("automorphism enumeration cap exceeded")
         # per parallel class, all bijections onto the image class
         per_state_rows: list[list[tuple[int, ...]]] = []
         for q in range(m):
@@ -193,8 +198,6 @@ def enumerate_automorphisms(a: Automaton, cap: int = 10_000) -> list[DigraphAuto
             per_state_rows.append(rows)
 
         for edge_rows in product(*per_state_rows):
-            if len(out) >= cap:
-                raise CapExceededError("automorphism enumeration cap exceeded")
             phi = DigraphAutomorphism(vperm, edge_rows)
             check_automorphism(a, phi)
             out.append(phi)

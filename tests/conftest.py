@@ -226,6 +226,18 @@ def h3_infinite():
     return minimal_rep(parse_transducer(H3_INFINITE.read_text()))
 
 
+def order_1260_element():
+    """A two-state H_25 element whose step factor has order lcm(4, 9, 5, 7) = 1,260, past
+    `order`'s 1,000 iterations.  Both states go to 0 on letters below 13 and to 1 on the rest;
+    state 0 outputs the identity, state 1 sigma = (0 1 2 3)(4 ... 12)(13 ... 17)(18 ... 24)."""
+    sigma = list(range(25))
+    for lo, hi in ((0, 4), (4, 13), (13, 18), (18, 25)):
+        sigma[lo:hi] = range(lo + 1, hi + 1)
+        sigma[hi - 1] = lo
+    row = tuple(0 if x < 13 else 1 for x in range(25))
+    return Transducer(Automaton(25, (row, row)), (tuple(range(25)), tuple(sigma)))
+
+
 def glued_machines(automata, limit=None):
     """All minimized glued machines H(A, phi) over the given automata."""
     out = []

@@ -31,7 +31,9 @@ from shiftfold.formats import (
 from shiftfold.rules import shift_rule
 from shiftfold.transducers import ELEMENT_STATE_CAP
 
-from conftest import H3_INFINITE, h3_infinite
+from conftest import H3_INFINITE, h3_infinite, order_1260_element
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bell_refusal(k: str) -> str:
@@ -204,6 +206,17 @@ def test_decompose_involutions(fig_file, tmp_path, capsys):
     code, out = run(capsys, "decompose", fig_file, "--involutions", "-o", str(outdir))
     assert code == 0
     assert "verified: true" in out
+
+
+def test_decompose_manifest_names_an_order_past_the_cap(tmp_path, capsys):
+    """The step factor has order 1,260, past `order`'s 1,000 iterations; the manifest says
+    so with `order`'s own token, and the factorization still verifies."""
+    path = tmp_path / "t.txt"
+    path.write_text(render_transducer(order_1260_element()))
+    code, out = run(capsys, "decompose", str(path), "-o", str(tmp_path / "factors"))
+    assert code == 0 and out.endswith("verified: true\n")
+    assert "factor 1: factor_01.txt order=exceeds-cap level=0 pair=(0, 1)\n" in out
+    assert "None" not in out
 
 
 def test_order(fig_file, capsys):
@@ -406,26 +419,34 @@ def test_large_bell_fails_cleanly(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_child(argv, timeout, limit_memory=True):
+    """`shiftfold` on `argv` in a child process run from the repository root, its address
+    space capped at 1 GiB unless `limit_memory` is False."""
+    return subprocess.run(
+        [sys.executable, "-m", "shiftfold.cli", *argv],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=_cap_address_space if limit_memory else None,
+    )
+
+
 def test_subgroup_ag_refuses_an_infinite_order_generator():
     """At the default cap the closure of an infinite-order element would run for
     minutes before tripping the element cap; a power past the closure's state cap
     refuses it first."""
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", "subgroup-ag", "tests/golden/inputs/h3_infinite.txt"],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=10,
+    proc = run_child(
+        ["subgroup-ag", "tests/golden/inputs/h3_infinite.txt"], timeout=10, limit_memory=False
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: subgroup closure cap exceeded\n"
-
-
-def _cap_address_space():
-    limit = 1 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_subgroup_ag_refuses_an_infinite_group_of_torsion_elements(tmp_path):
@@ -439,16 +460,7 @@ def test_subgroup_ag_refuses_an_infinite_group_of_torsion_elements(tmp_path):
         path = tmp_path / f"factor_{i + 1:02d}.txt"
         path.write_text(render_transducer(f.inverse_factors[i]))
         paths.append(str(path))
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", "subgroup-ag", *paths],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_child(["subgroup-ag", *paths], timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: subgroup closure cap exceeded\n"
 
@@ -458,20 +470,23 @@ def test_de_bruijn_transition_table_is_capped(command):
     """G(1000, 2) has 10^6 states but 10^9 transitions; it is refused before any
     row is built.  The child's address space is capped at 1 GiB, so building the
     table fails fast instead of exhausting memory."""
-    root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", command, "1000", "2"],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_child([command, "1000", "2"], timeout=10)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: de Bruijn graph G(1000, 2) would have more than 1000000 transitions\n"
+
+
+def test_aut_refuses_factorially_many_edge_maps_before_building_them(tmp_path):
+    """A one-state automaton over 11 letters has 11! automorphisms, all edge maps of one
+    vertex map; the cap refuses them before any edge row is built."""
+    path = tmp_path / "loops.txt"
+    path.write_text("automaton n=11 states=1\nstate 0: " + " ".join(["0"] * 11) + "\n")
+    start = time.perf_counter()
+    proc = run_child(["aut", str(path)], timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: automorphism enumeration cap exceeded\n"
 
 
 @pytest.mark.parametrize(
@@ -492,17 +507,8 @@ def test_folding_lists_past_the_lattice_cap_are_refused(argv):
     G(n, m) alone has Bell(n) of them, past the cap from n = 11 on, so G(11,1), G(12,1),
     G(13,3), G(600,1) and G(1000,1) are refused before any level is listed.  Each
     refusal comes in seconds, in a bounded address space."""
-    root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", *argv],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_child(argv, timeout=60)
     assert time.perf_counter() - start < 30
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: folding lattice cap exceeded\n"
@@ -513,17 +519,8 @@ def test_huge_rule_window_is_refused_without_forming_the_power(tmp_path):
     window alone shows that two outputs cannot fill the table."""
     path = tmp_path / "huge.txt"
     path.write_text("rule n=2 window=100000000000\noutputs: 0 1\n")
-    root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", "rule2trans", str(path)],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_child(["rule2trans", str(path)], timeout=10)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: table needs more than 2 entries (line 2)\n"
@@ -555,17 +552,8 @@ def test_forced_state_tables_past_the_de_bruijn_cap_are_refused(command, case, l
     assert sync_level(machine.base) == level
     path = tmp_path / f"{case}.txt"
     path.write_text(render_transducer(machine))
-    root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", command, str(path)],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_child([command, str(path)], timeout=60)
     assert time.perf_counter() - start < 30
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == (
@@ -578,17 +566,8 @@ def test_order_refuses_a_state_cap_past_the_element_limit():
     before any power is formed, where it used to form powers of an infinite-order element
     without bound."""
     path = Path(__file__).parent / "golden" / "inputs" / "h3_infinite.txt"
-    root = Path(__file__).resolve().parent.parent
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftfold.cli", "order", str(path), "--cap", "99999999999999999999"],
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_child(["order", str(path), "--cap", "99999999999999999999"], timeout=10)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (

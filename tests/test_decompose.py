@@ -10,6 +10,7 @@ from shiftfold import (
     Automaton,
     Transducer,
     canonical_key,
+    canonical_rep,
     de_bruijn,
     decompose,
     decompose_involutions,
@@ -29,10 +30,13 @@ from shiftfold.decompose import (
     find_collapsible_pair,
     find_factor,
 )
+from shiftfold.formats import parse_transducer
 from conftest import (
+    H3_INFINITE,
     h3_infinite,
     is_amalgamation,
     is_collapse_equivalent,
+    order_1260_element,
     random_h3_elements,
 )
 
@@ -396,6 +400,36 @@ def test_verify_rejects_a_swapped_involution(two_step_factorizations, h3_pool):
     other = next(x for x in h3_pool if order(x) == 2 and not equal_omega(x, involutions[0]))
     swapped = (other,) + involutions[1:]
     assert not verify(_tamper_step(split, 1, involutions=swapped))
+
+
+def test_verify_accepts_a_factor_past_the_order_caps():
+    """The step factor of this element has order 1,260, past `order`'s 1,000 iterations; it
+    is glued from a checked vertex-fixing automorphism, so it is torsion all the same."""
+    t = order_1260_element()
+    plain, split = decompose(t), decompose_involutions(t)
+    assert order(plain.steps[0].factor) is None
+    assert len(plain.inverse_factors) == 1 and len(split.inverse_factors) == 21
+    assert verify(plain) and verify(split)
+
+
+def test_verify_rejects_factors_that_are_not_the_steps():
+    """The four factors of h3_8 lumped into one 8-state machine multiply back to the original,
+    but that machine is not a step's factor (it has no finite order within the caps)."""
+    f = decompose(parse_transducer(H3_INFINITE.with_name("h3_8.txt").read_text()))
+    lumped = canonical_rep(product_min(invert(f.remainder), f.original))
+    assert len(f.inverse_factors) == 4 and lumped.state_count == 8
+    assert equal_omega(product_min(f.remainder, lumped), f.original)
+    assert verify(f) and not verify(replace(f, inverse_factors=(lumped,)))
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_verify_rejects_a_tampered_reduced_machine(two_step_factorizations, split):
+    f = two_step_factorizations[split]
+    other = next(
+        single_state(rho) for rho in ((0, 1, 2), (1, 2, 0)) if single_state(rho) != f.remainder
+    )
+    assert not verify(_tamper_step(f, len(f.steps) - 1, reduced=other))
+    assert not verify(_tamper_step(f, 0, reduced=f.steps[1].reduced))
 
 
 def test_amalgamation_reflexive(fig_automaton):
