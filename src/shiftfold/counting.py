@@ -8,8 +8,11 @@ joins in its congruence lattice, from a worklist that grows while it is read.  A
 principal congruence is generated by one pair, so each join closes the folding already
 found with that one generating pair, by a union-find seeded from the found folding's
 classes (`_close`), which also closes the principal congruences from the discrete
-partition; its unions keep the least class as root, so one forward pass resolves the
-roots and relabels the result by first occurrence.  The exhaustive method, an
+partition.  The unions of `_close` keep the least class as root, so one forward pass
+resolves the roots and relabels the result by first occurrence.  A join depends only on
+the two classes its pair lies in, so each found folding is closed once per unordered
+pair of its classes that some generator meets; a pair already in one class is skipped,
+since that join is the folding itself.  The exhaustive method, an
 independent cross-check of both for up to 12 states, grows each set partition state by
 state and cuts a prefix as soon as two states of one class lead to placed states of
 different classes (`_closed_prefix`).  Both methods count every folding, the discrete
@@ -340,7 +343,12 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
     joining each folding in it with each principal congruence.  Each distinct principal
     keeps the first pair p < q, in lex order, that generates it, and the join is the
     closure of the found folding with that pair alone, not `join_foldings` with the
-    whole principal.  Either way it counts every folding, the discrete partition
+    whole principal.  That join depends only on the found folding's classes of p and
+    q, so each found folding is closed once per unordered class pair: a generator whose
+    pair lies in one class is skipped, as its join is the folding itself, and so is one
+    whose class pair was already closed, as its join repeats that one.  Skipped joins
+    were found already, so the worklist grows in the same order and meets the cap at
+    the same point.  Either way it counts every folding, the discrete partition
     included, against `LATTICE_CAP` and refuses past it.  Both methods include the
     discrete partition.
     """
@@ -362,12 +370,19 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
     m = a.state_count
     generators: dict = {}  # each principal congruence's first pair p < q, in lex order
     for p, q in combinations(range(m), 2):
-        generators.setdefault(congruence_closure(a, [(p, q)]).class_of, [(p, q)])
+        generators.setdefault(congruence_closure(a, [(p, q)]).class_of, (p, q))
     found = [StatePartition.discrete(m)]
     seen = {found[0].class_of}
     for part in found:  # breadth first: `found` grows while it is read
-        for gen in generators.values():
-            join = _close(a, part, gen)
+        class_of = part.class_of
+        tried = set()  # unordered class pairs already closed from `part`
+        for p, q in generators.values():
+            cp, cq = class_of[p], class_of[q]
+            pair = (cp, cq) if cp < cq else (cq, cp)
+            if cp == cq or pair in tried:
+                continue  # the join is `part` itself, or one already made
+            tried.add(pair)
+            join = _close(a, part, [(p, q)])
             if join.class_of not in seen:
                 if len(seen) >= LATTICE_CAP:
                     raise CapExceededError("folding lattice cap exceeded")

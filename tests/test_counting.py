@@ -408,19 +408,52 @@ def test_exhaustive_search_lists_a_twelve_state_quotient_in_seconds():
     assert len(found) == 160 and found == enumerate_foldings(q)
 
 
-def test_join_lattice_equals_the_exhaustive_search_on_renamed_quotients_of_g24():
-    """Quotients of 10 to 12 states, past `small_automata`.  Each pair (s, s + 8) of
-    G(2, 4) closes to itself alone, so closing k of them leaves 16 - k states."""
+def renamed_quotients_of_g24() -> list[Automaton]:
+    """Quotients of 10 to 12 states, past `small_automata`, with their states shuffled.
+    Each pair (s, s + 8) of G(2, 4) closes to itself alone, so closing k of them leaves
+    16 - k states."""
     g = de_bruijn(2, 4)
     merges = [(0, 1, 4, 5, 6, 7), (0, 1, 2, 3, 4, 7), (0, 3, 5, 6, 7), (1, 2, 3, 4, 6), (0, 1, 4, 7)]
     parts = [congruence_closure(g, [(s, s + 8) for s in merged]) for merged in merges]
     parts.append(StatePartition.from_class_of(TWELVE_STATE_FOLDING))
     assert [p.class_count for p in parts] == [10, 10, 11, 11, 12, 12]
     rng = random.Random(4)
-    for part in parts:
-        q = quotient(g, part)
-        a = renamed_states(q, rng.sample(range(q.state_count), q.state_count))
+    quotients = [quotient(g, part) for part in parts]
+    return [renamed_states(q, rng.sample(range(q.state_count), q.state_count)) for q in quotients]
+
+
+def test_join_lattice_equals_the_exhaustive_search_on_renamed_quotients_of_g24():
+    for a in renamed_quotients_of_g24():
         assert enumerate_foldings(a) == enumerate_foldings(a, method="exhaustive")
+
+
+def test_lattice_closes_each_found_folding_once_per_class_pair(monkeypatch):
+    """A join depends only on the classes its pair lies in, so from a found folding the
+    lattice closes no pair that lies in one class, and no unordered class pair twice.
+    The discrete partition is left out: the principal closures start from it too."""
+    calls = []
+    close = counting._close
+
+    def recorded(a, part, pairs):
+        pairs = list(pairs)
+        calls.append((part, pairs))
+        return close(a, part, pairs)
+
+    monkeypatch.setattr(counting, "_close", recorded)
+    for a in renamed_quotients_of_g24() + [reversed_states(de_bruijn(3, 2))]:
+        calls.clear()
+        assert enumerate_foldings(a) == enumerate_foldings(a, method="exhaustive")
+        closed = set()
+        for part, pairs in calls:
+            if part.class_count == a.state_count:
+                continue
+            [(p, q)] = pairs
+            cp, cq = part.class_of[p], part.class_of[q]
+            assert cp != cq
+            key = (part.class_of, min(cp, cq), max(cp, cq))
+            assert key not in closed
+            closed.add(key)
+        assert closed
 
 
 def test_unknown_method():
