@@ -201,8 +201,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_order(args) -> int:
     k = order(_load_transducer(args.file), cap_states=args.cap, cap_iters=args.cap)
-    _emit("exceeds-cap\n" if k is None else f"{k}\n", args.output)
-    return 3 if k is None else 0
+    if k is None:
+        cap = args.cap
+        raise CapExceededError(f"order cap exceeded: order above {cap}, or a power over {cap} states")
+    _emit(f"{k}\n", args.output)
+    return 0
 
 
 def _bell(k: int) -> int:

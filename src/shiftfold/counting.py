@@ -2,21 +2,22 @@
 sum R(s, t), the closed formula for word length 2, and the list of every folding of
 an automaton.
 
+R(s, t) is the sum over the set partitions P of {1..t} of (-1)^(|P|-1) (|P|-1)! times
+the product of B(|C|s) over the blocks C of P, and G(n, 2) has as many foldings as the
+sum over the set partitions P of X_n of the product of R(|P|, |C|) over the blocks C.
+Neither sum lists partitions: by the exponential formula (Stanley, Enumerative
+Combinatorics 2, 5.1), splitting off the block that holds the last point turns each
+into a short recurrence in binomials (`moebius_R`, `count_foldings_g_n_2`).
+
 The foldings of a de Bruijn graph G(n, m) are listed level by level down the row-merge
 sequence (`_de_bruijn_foldings`); every other automaton's are listed breadth first by
-joins in its congruence lattice, from a worklist that grows while it is read.  A
-principal congruence is generated by one pair, so each join closes the folding already
-found with that one generating pair, by a union-find seeded from the found folding's
-classes (`_close`), which also closes the principal congruences from the discrete
-partition.  The unions of `_close` keep the least class as root, so one forward pass
-resolves the roots and relabels the result by first occurrence.  A join depends only on
-the two classes its pair lies in, so each found folding is closed once per unordered
-pair of its classes that some generator meets; a pair already in one class is skipped,
-since that join is the folding itself.  The exhaustive method, an
-independent cross-check of both for up to 12 states, grows each set partition state by
-state and cuts a prefix as soon as two states of one class lead to placed states of
-different classes (`_closed_prefix`).  Both methods count every folding, the discrete
-partition included, against `LATTICE_CAP`.
+joins in its congruence lattice, each the union-find closure (`_close`) of a folding
+already found with one generating pair of a principal congruence, once per unordered
+pair of its classes that some generator meets.  The exhaustive method, an independent
+cross-check of both for up to 12 states, grows each set partition state by state and
+cuts a prefix as soon as two states of one class lead to placed states of different
+classes (`_closed_prefix`).  Both methods count every folding, the discrete partition
+included, against `LATTICE_CAP`.
 Everything here is exact integer arithmetic; no floating point.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import factorial
+from math import comb
 from operator import eq
 
 from .automata import (
@@ -78,58 +79,38 @@ def _growth_strings(k: int, keep=None):
     yield from descend(1, 0)
 
 
-def _integer_partitions(t: int):
-    """Partitions of the integer t as non-increasing tuples."""
-    if t == 0:
-        yield ()
-        return
-    for first in range(t, 0, -1):
-        for rest in _integer_partitions(t - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def _partition_type_count(parts: tuple[int, ...]) -> int:
-    """Number of set partitions of an n-set whose block sizes are `parts`."""
-    n = sum(parts)
-    count = factorial(n)
-    for p in parts:
-        count //= factorial(p)
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
-        count //= factorial(m)
-    return count
-
-
 @lru_cache(maxsize=None)
 def moebius_R(s: int, t: int) -> int:
-    """Signed sum over partitions of {1..t} of products of Bell numbers B(|C|s)."""
+    """R(s, t): the sum over the set partitions P of {1..t} of (-1)^(|P|-1) (|P|-1)!
+    times the product of B(|C|s) over the blocks C of P.  By Moebius inversion, B(ts) is
+    the sum over the same P of the product of R(s, |C|); splitting off the block that
+    holds t, of size k, gives B(ts) = sum_{k=1..t} C(t-1, k-1) R(s, k) B((t-k)s), here
+    solved for R(s, t).  The sum runs k upwards, so the cache fills from below and the
+    recursion stays two calls deep."""
     if s < 1 or t < 1:
         raise ValueError("arguments must be positive")
-    total = 0
-    for parts in _integer_partitions(t):
-        term = (-1) ** (len(parts) - 1) * factorial(len(parts) - 1)
-        for c in parts:
-            term *= bell(c * s)
-        total += _partition_type_count(parts) * term
-    return total
+    rest = sum(comb(t - 1, k - 1) * moebius_R(s, k) * bell((t - k) * s) for k in range(1, t))
+    return bell(t * s) - rest
 
 
 def count_foldings_g_n_2(n: int) -> int:
-    """Exact number of foldings of the word-length-2 de Bruijn graph over X_n."""
+    """Exact number of foldings of the word-length-2 de Bruijn graph over X_n: the sum
+    over the set partitions P of X_n of the product of R(|P|, |C|) over the blocks C of
+    P.  For each s, s rounds of ways[t] = sum_k C(t-1, k-1) R(s, k) ways[t-k], from
+    ways = [1, 0, ...], each split off the block that holds the largest point left, so
+    ways[n] sums over the partitions with s blocks; none of their blocks passes n-s+1."""
     if n < 1:
         raise ValueError("alphabet size must be at least 1")
     if n > 12:
         raise CapExceededError("closed-form folding count capped at alphabet size 12")
     total = 0
-    for parts in _integer_partitions(n):
-        s = len(parts)
-        term = 1
-        for a in parts:
-            term *= moebius_R(s, a)
-        total += _partition_type_count(parts) * term
+    for s in range(1, n + 1):
+        top = n - s + 1
+        ways = [1] + [0] * n
+        for _ in range(s):
+            ways = [sum(comb(t - 1, k - 1) * moebius_R(s, k) * ways[t - k]
+                        for k in range(1, min(t, top) + 1)) for t in range(n + 1)]
+        total += ways[n]
     return total
 
 
@@ -371,6 +352,8 @@ def enumerate_foldings(a: Automaton, method: str = "lattice") -> list[StateParti
     generators: dict = {}  # each principal congruence's first pair p < q, in lex order
     for p, q in combinations(range(m), 2):
         generators.setdefault(congruence_closure(a, [(p, q)]).class_of, (p, q))
+    if LATTICE_CAP < 1:  # the discrete partition counts against the cap as well
+        raise CapExceededError("folding lattice cap exceeded")
     found = [StatePartition.discrete(m)]
     seen = {found[0].class_of}
     for part in found:  # breadth first: `found` grows while it is read

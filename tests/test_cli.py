@@ -368,16 +368,24 @@ def test_negative_caps_are_refused(fig_file, capsys, argv, message):
     assert code == 3
 
 
+ORDER_CAP_1 = "error: order cap exceeded: order above 1, or a power over 1 states\n"
+
+
 def test_order_cap_exit_code(fig_file, capsys):
-    code, out = run(capsys, "order", fig_file, "--cap", "1")
-    assert code == 3 and out == "exceeds-cap\n"
+    """Past its caps `order` refuses like every other command: exit 3, one line naming
+    the caps on stderr, and nothing on stdout."""
+    assert main(["order", fig_file, "--cap", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ORDER_CAP_1
 
 
 def test_order_cap_writes_to_output_file(fig_file, tmp_path, capsys):
+    """A refusal writes no `-o` file."""
     target = tmp_path / "order.txt"
-    code, out = run(capsys, "order", fig_file, "--cap", "1", "-o", str(target))
-    assert code == 3 and out == ""
-    assert target.read_text() == "exceeds-cap\n"
+    assert main(["order", fig_file, "--cap", "1", "-o", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ORDER_CAP_1
+    assert not target.exists()
 
 
 def test_identical_invocations_identical_output(capsys):

@@ -4,8 +4,7 @@ on stderr.  Argparse's own refusals leave by SystemExit with its usage text.
 
 Machines have 1-4 states over 2-3 letters, rules a window of 1-3, and `--cap` lies
 between -1 and 4, so no call reaches the large inputs that the cap tests run in a
-child process.  `order` alone exits 3 with an empty stderr: its cap verdict
-`exceeds-cap` goes to stdout, where an order would go.
+child process.
 """
 
 import io
@@ -230,10 +229,6 @@ def test_cli_ends_cleanly_on_small_inputs(command, tmp_path):
         assert code in EXIT_CODES, argv
         if code in (2, 3):
             lines = err.getvalue().splitlines(keepends=True)
-            # `order` prints its cap verdict where an order would go, as the golden corpus records
-            if command == "order" and code == 3 and not lines:
-                assert out.getvalue() == "exceeds-cap\n", argv
-            else:
-                assert len(lines) == 1 and lines[0].endswith("\n"), argv
+            assert len(lines) == 1 and lines[0].endswith("\n"), argv
 
     run()

@@ -78,8 +78,14 @@ def test_moebius_examples():
 
 def test_moebius_matches_direct_enumeration():
     for s in range(1, 5):
-        for t in range(1, 6):
+        for t in range(1, 8):
             assert moebius_R(s, t) == _moebius_oracle(s, t)
+
+
+def test_moebius_at_s_1_is_1():
+    """sum_t R(1, t) x^t/t! is the log of sum_t B(t) x^t/t! = e^(e^x - 1), which is
+    e^x - 1, so R(1, t) = 1 for every t >= 1."""
+    assert all(moebius_R(1, t) == 1 for t in range(1, 61))
 
 
 def _count_oracle(n):
@@ -100,8 +106,21 @@ def test_count_formula_matches_direct_enumeration():
 
 
 def test_count_known_values():
-    expected = [1, 5, 192, 78721, 519338423, 82833228599906, 429768478195109381814]
-    assert [count_foldings_g_n_2(n) for n in range(1, 8)] == expected
+    expected = [
+        1,
+        5,
+        192,
+        78721,
+        519338423,
+        82833228599906,
+        429768478195109381814,
+        88739945214155919271705540649,
+        853620826593800211380748546107385685700,
+        441421888174576709233694268096454000458733103471679,
+        14056428973452619170278544759447699254066906304692586781030297332,
+        31327181044830379890062054338521630781325811125451451550247839069444372350699002,
+    ]
+    assert [count_foldings_g_n_2(n) for n in range(1, 13)] == expected
 
 
 def test_count_formula_cap():
@@ -472,3 +491,15 @@ def test_lattice_cap_counts_every_folding(n, m, count, monkeypatch):
         monkeypatch.setattr(counting, "LATTICE_CAP", count - 1)
         with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
             enumerate_foldings(a, method)
+
+
+@pytest.mark.parametrize("method", ["lattice", "exhaustive"])
+def test_lattice_cap_counts_the_discrete_partition_of_a_one_state_automaton(method, monkeypatch):
+    """The one folding of a one-state automaton is its discrete partition, which both
+    methods count against the cap: cap 0 refuses it and cap 1 returns it."""
+    a = Automaton(2, ((0, 0),))
+    monkeypatch.setattr(counting, "LATTICE_CAP", 0)
+    with pytest.raises(CapExceededError, match="folding lattice cap exceeded"):
+        enumerate_foldings(a, method)
+    monkeypatch.setattr(counting, "LATTICE_CAP", 1)
+    assert enumerate_foldings(a, method) == [StatePartition.discrete(1)]
