@@ -267,12 +267,14 @@ def cmd_subgroup_ag(args) -> int:
     gens = [_load_transducer(path) for path in args.generators]
     closure = subgroup_closure(gens, cap=args.cap)
     base, mapping = subgroup_automaton(closure)
-    blocks = [f"order: {len(closure.elements)}\nlevel: {closure.max_sync_level}"]
+    size = len(closure.elements)
+    blocks = [f"order: {size}\nlevel: {closure.max_sync_level}"]
     blocks.append(render_automaton(base).rstrip("\n"))
     for idx, element in enumerate(closure.elements):
         phi = mapping[element]
+        k = order(element, cap_iters=size)  # an element's order divides the group's
         blocks.append(
-            f"element {idx}: states={element.state_count} order={order(element)}\n"
+            f"element {idx}: states={element.state_count} order={k}\n"
             + render_automorphism(phi, base.alphabet_size).rstrip("\n")
         )
     _emit("\n\n".join(blocks) + "\n", args.output)

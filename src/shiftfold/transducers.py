@@ -9,14 +9,18 @@ representative", which makes the usual convention of not distinguishing
 behaviourally equal machines executable.
 
 Products are the one large-scale path (`order` forms each power of an element
-with one), so the work per state of the product walk and of the Moore
+with one), so the work per state of the product walks and of the Moore
 refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.fromkeys`)
-rather than in Python loops over letters.  `order` walks the core of its
-small base times the last power and refines that core only once it passes
-the state cap, with a refinement that stops once the class count passes the
-cap, so a power past it is never fully minimized or built.  That cap is
-`order`'s alone: every other product, `subgroup_closure`'s included, is a
-whole `product_min`.
+rather than in Python loops over letters.  There are two walks.
+`product_min` visits pairs of states one at a time and numbers them by raw
+index, which fixes the bytes `product` writes.  `order` holds each power as
+per-letter columns and walks the core of its small base times the last power
+block by block (one set of power states per base state), mapping a whole
+block through one column at a time.  It refines that core only once it
+passes the state cap, with a refinement that stops once the class count
+passes the cap, so a power past it is never fully minimized, and no power is
+built as a machine.  That cap is `order`'s alone: every other product,
+`subgroup_closure`'s included, is a whole `product_min`.
 
 Inputs are checked where they come in: the `Transducer` and `Automaton`
 constructors check every table entry, and `is_in_hn` checks group
@@ -31,7 +35,7 @@ again.  Operands the library did not build are analysed as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import ceil
 from operator import add, itemgetter
 
@@ -381,21 +385,60 @@ def apply_periodic(t: Transducer, period) -> Word:
     return out
 
 
+def _power_blocks(moves, nxt, p: int, q: int) -> list[set[int]]:
+    """The core of T times a power P, walked from its forced pair (p, q), as one block per
+    state of T: the set of P's states paired with it.
+
+    `moves[p]` lists T's (successor, output letter) at state p for each letter, and
+    `nxt[y][q]` is P's successor of state q on letter y.  The states newly found in block p
+    move to block `moves[p][x][0]` through the one column `nxt[moves[p][x][1]]`, a whole
+    batch per C-level `map`, and states found while a block waits join its pending batch.
+    """
+    blocks = [set() for _ in moves]
+    blocks[p].add(q)
+    pending = {p: {q}}
+    while pending:
+        p, new = pending.popitem()
+        for p2, y in moves[p]:
+            fresh = set(map(nxt[y].__getitem__, new))
+            fresh -= blocks[p2]
+            if fresh:
+                blocks[p2] |= fresh
+                if p2 in pending:
+                    pending[p2] |= fresh
+                else:
+                    pending[p2] = fresh
+    return blocks
+
+
 def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1_000) -> int | None:
     """Least k with T^k the identity under the monoid product; None past the caps.
 
-    T is minimized once, for both the membership test and the base of the powers.  Powers
-    commute, so T^k is formed as the core of T times T^(k-1) (see `_core_tables`): the walk
-    then picks through the few rows of T per pair, not the many rows of the power.  T^k is
-    the identity exactly when every state of that core outputs the identity row, so the
-    core needs no minimizing for the test.  A core of at most `cap_states` states cannot
+    T is minimized once, for both the membership test and the base of the powers, and k = 1
+    is tested on the base's rows.  A one-state base is a permutation of the letters, and its
+    powers are its row's powers.  Otherwise, since powers commute, T^k is the core of T
+    times T^(k-1), walked from a forced pair with the small base T leading (see
+    `_power_blocks`): the core is one block of power states per state of T.  The power is
+    held as per-letter successor columns, so the walk and the next columns map a whole
+    block through one column at a time, and as one output row per state, so the identity
+    test is one `count`.  The core is numbered block by block, with no sort, and no power
+    is built as a machine.  T^k is the identity exactly when every state of that core
+    outputs the identity row, so the core needs no minimizing for the test, and its
+    successors are read only when it fails.  A core of at most `cap_states` states cannot
     minimize past the cap, so it is kept as it is; a bigger one is refined with the cap
     (see `_refine`), which stops once its class count passes it.  So None means that the
-    order exceeds `cap_iters`, or that some minimal power T^j with j >= 2, short of the
-    identity, has more than `cap_states` states; powers of infinite-order elements, which
-    grow without bound, trip the state cap.  The base T^1 is not held to the cap: a 4-state
-    involution has order 2 even at `cap_states=1`.  A state cap above `ELEMENT_STATE_CAP`
-    and a negative cap are refused with ValueError before any product is formed.
+    order exceeds `cap_iters`, or that some minimal power T^j with j >= 2 has more than
+    `cap_states` states: one short of the identity, or any at `cap_states=0`.  Powers of
+    infinite-order elements, which grow without bound, trip the state cap.  The base T^1 is
+    not held to the cap: a 4-state involution has order 2 even at `cap_states=1`.  A state
+    cap above `ELEMENT_STATE_CAP` and a negative cap are refused with ValueError before any
+    product is formed.
+
+    `product_min` keeps its own walk (`_core_tables`), since the two walks serve different
+    operand shapes.  Its numbering by sorted raw index fixes the bytes `product` writes,
+    and a blocked walk in its place, keeping that numbering, measured 1.6 to 2.3 times as
+    slow on its operands (many small products, and big machines times small ones), whose
+    blocks hold few states.  The blocks of a power are big.
     """
     if cap_states < 0:
         raise ValueError(f"order state cap {cap_states} is negative")
@@ -407,17 +450,51 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     if member is None:
         raise ValueError("order is defined only for invertible bisynchronizing machines")
     base = member[0]
-    n = t.alphabet_size
-    ident = tuple(range(n))
-    power, output = base, base.output
-    for k in range(1, cap_iters + 1):
-        if all(row == ident for row in output):
+    delta, output = base.base.delta, base.output
+    ident = tuple(range(t.alphabet_size))
+    if output.count(ident) == len(output):
+        return 1 if cap_iters else None
+    if not cap_states:
+        return None  # every power past T^1 has a state
+    if len(output) == 1:  # a permutation of the letters, whose powers have one state each
+        row = perm = output[0]
+        for k in range(2, cap_iters + 1):
+            row = tuple(map(row.__getitem__, perm))
+            if row == ident:
+                return k
+        return None
+    moves = list(map(tuple, map(zip, delta, output)))
+    picks = [itemgetter(*row) for row in output]  # two or more letters: each picks a tuple
+    nxt = tuple(zip(*delta))
+    # reading zeros long enough forces a pair of the core: T settles on the state `start`
+    # that letter 0 fixes, outputting `letter` there, and the power on the state it fixes
+    start = 0
+    while delta[start][0] != start:
+        start = delta[start][0]
+    letter = output[start][0]
+    for k in range(2, cap_iters + 1):
+        q, step = 0, nxt[letter]
+        while step[q] != q:
+            q = step[q]
+        blocks = _power_blocks(moves, nxt, start, q)
+        rows = output.__getitem__
+        output = []
+        for pick, block in zip(picks, blocks):  # (p, q) outputs q's row read through p's
+            output += map(pick, map(rows, block))
+        if output.count(ident) == len(output):
             return k
-        delta, output, bound = _core_tables(base, power)
+        number = count()  # zip stops at the end of a block before it draws a number
+        rank = [dict(zip(block, number)).__getitem__ for block in blocks]
+        cols = [col.__getitem__ for col in nxt]
+        nxt = [[] for _ in cols]
+        # on letter x, (p, q) goes to (p2, q's successor on y), where moves[p][x] = (p2, y)
+        for block, move in zip(blocks, moves):
+            if block:
+                for col, (p2, y) in zip(nxt, move):
+                    col += map(rank[p2], map(cols[y], block))
         if len(output) > cap_states:
-            merged = _refine(delta, output, cap_states)
+            merged = _refine(tuple(zip(*nxt)), output, cap_states)
             if merged is None:
                 return None
-            delta, output = merged
-        power = _machine(n, delta, output, bound)
+            nxt, output = tuple(zip(*merged[0])), merged[1]
     return None

@@ -8,12 +8,15 @@ come exactly when the minimized product is over the cap, at the boundary too.
 `order` is the one caller with a cap below the size of the tables it refines.
 It minimizes its input once, for both the membership test and the base of its
 powers.  It walks each power as the core of the base times the last power,
-refines that core only once it has more states than the cap, and never builds
-the machine of the power that trips the cap.  At every cap, on golden inputs
-and on random H_3 products, it must answer as the loop it replaced, which
-formed each whole power with `product_min`.  The refinement behind
-`weak_minimize` must still match the two-partition oracle on machines that
-are not core or do not synchronize, and return a minimal machine itself.
+block by block in per-letter columns (`_power_blocks`), refines that core
+only once it has more states than the cap, and never builds a power as a
+machine.  At every cap it must answer as the loop it replaced, which formed
+each whole power with `product_min`: on golden inputs, on random H_3
+products, on every element of the G(3,2) glued pool, and on big bases (powers
+of `h3_infinite`, and torsion elements conjugated by them) whose walks run
+through many blocks.  The refinement behind `weak_minimize` must still match
+the two-partition oracle on machines that are not core or do not
+synchronize, and return a minimal machine itself.
 """
 
 from pathlib import Path
@@ -35,9 +38,9 @@ from shiftfold import (
 )
 from shiftfold import transducers
 from shiftfold.formats import parse_transducer
-from shiftfold.transducers import _core_tables, _refine, renumber
+from shiftfold.transducers import ELEMENT_STATE_CAP, _core_tables, _refine, renumber
 
-from conftest import H3_INFINITE, oracle_weak_minimize, pool_product
+from conftest import H3_INFINITE, h3_infinite, oracle_weak_minimize, pool_product
 
 SETTINGS = settings(max_examples=40, deadline=None)
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -102,6 +105,12 @@ def power_sizes(t, limit):
     return sizes
 
 
+def assert_order_unchanged_at_each_power_size(t, label):
+    for size in power_sizes(t, 400):
+        for cap in (size - 1, size, size + 1):
+            assert order(t, cap_states=cap) == replaced_order(t, cap), (label, cap)
+
+
 @SETTINGS
 @given(picks)
 @example("h3_infinite.txt")
@@ -113,9 +122,7 @@ def test_order_is_unchanged_at_each_power_size(h3_pool, source):
         t = parse_transducer((INPUTS / source).read_text())
     else:
         t = pool_product(h3_pool, source)
-    for size in power_sizes(t, 400):
-        for cap in (size - 1, size, size + 1):
-            assert order(t, cap_states=cap) == replaced_order(t, cap), (source, cap)
+    assert_order_unchanged_at_each_power_size(t, source)
 
 
 def test_order_of_a_torsion_element_at_its_largest_power():
@@ -124,10 +131,35 @@ def test_order_of_a_torsion_element_at_its_largest_power():
     assert order(t, cap_states=3) is None
 
 
+def test_order_is_unchanged_on_the_glued_pool_at_the_default_caps(h3_pool):
+    for i, t in enumerate(h3_pool):
+        assert order(t) == replaced_order(t, ELEMENT_STATE_CAP), i
+
+
+def test_order_is_unchanged_on_big_bases():
+    """The 15-, 35- and 70-state powers of `h3_infinite`, and two torsion elements conjugated
+    by its 6- and 15-state powers (4 and 2 are the orders to find), each walked through one
+    block per base state."""
+    base = h3_infinite()
+    powers = [base]
+    for _ in range(3):
+        powers.append(product_min(powers[-1], base))
+    for power in powers[1:]:
+        assert_order_unchanged_at_each_power_size(power, power.state_count)
+    for name, k in (("h3_order4.txt", 4), ("h3_4.txt", 2)):
+        t = parse_transducer((INPUTS / name).read_text())
+        for g in powers[:2]:
+            conjugate = product_min(product_min(invert(g), t), g)
+            assert order(conjugate) == k
+            assert_order_unchanged_at_each_power_size(conjugate, (name, g.state_count))
+
+
 def test_order_minimizes_its_input_once_and_never_builds_the_power_past_the_cap(monkeypatch):
+    """No power is built as a machine, nor walked by `product_min`'s `_core_tables`: the one
+    machine built is the input's inverse, for the membership test."""
     t = parse_transducer(H3_INFINITE.read_text())
-    minimized, built = [], []
-    machine = transducers._machine
+    minimized, built, walked = [], [], []
+    machine, core_tables = transducers._machine, transducers._core_tables
 
     def counted_minimize(m):
         minimized.append(m)
@@ -137,12 +169,16 @@ def test_order_minimizes_its_input_once_and_never_builds_the_power_past_the_cap(
         built.append(len(delta))
         return machine(n, delta, output, bound)
 
+    def counted_core_tables(a, b):
+        walked.append((a, b))
+        return core_tables(a, b)
+
     monkeypatch.setattr(transducers, "weak_minimize", counted_minimize)
     monkeypatch.setattr(transducers, "_machine", counted_machine)
+    monkeypatch.setattr(transducers, "_core_tables", counted_core_tables)
     assert order(t, cap_states=100) is None
     assert len(minimized) == 1 and minimized[0] is t
-    # the powers of 15, 35 and 70 states are built; the 150-state one is not
-    assert 70 in built and max(built) <= 100
+    assert built == [t.state_count] and not walked
 
 
 def test_order_refines_only_the_first_core_past_the_cap(monkeypatch):
@@ -150,22 +186,22 @@ def test_order_refines_only_the_first_core_past_the_cap(monkeypatch):
     input's own minimization and the one of the first core past the cap."""
     t = parse_transducer(H3_INFINITE.read_text())
     cores, refined = [], []
-    core_tables, refine = transducers._core_tables, transducers._refine
+    power_blocks, refine = transducers._power_blocks, transducers._refine
 
-    def counted_core_tables(a, b):
-        tables = core_tables(a, b)
-        cores.append(len(tables[1]))
-        return tables
+    def counted_power_blocks(moves, nxt, p, q):
+        blocks = power_blocks(moves, nxt, p, q)
+        cores.append(sum(map(len, blocks)))
+        return blocks
 
     def counted_refine(delta, output, cap):
         refined.append(len(output))
         return refine(delta, output, cap)
 
-    monkeypatch.setattr(transducers, "_core_tables", counted_core_tables)
+    monkeypatch.setattr(transducers, "_power_blocks", counted_power_blocks)
     monkeypatch.setattr(transducers, "_refine", counted_refine)
     assert order(t, cap_states=100) is None
-    assert max(cores[:-1]) <= 100 < cores[-1]
-    assert refined == [t.state_count, cores[-1]]
+    assert cores == [15, 35, 70, 150]
+    assert refined == [t.state_count, 150]
 
 
 @SETTINGS

@@ -257,6 +257,19 @@ def test_subgroup_ag(fig_file, capsys):
     assert out.count("element") == 2
 
 
+def test_subgroup_ag_prints_the_order_of_every_element_of_a_big_cyclic_group(tmp_path, capsys):
+    """One letter permutation with cycles of lengths 4, 9, 5 and 7 generates a cyclic group
+    of order 1,260.  An element's order divides the group's, so each `order` call may take
+    that many powers, past its default 1,000; phi(1,260) = 288 elements have order 1,260."""
+    path = tmp_path / "sigma.txt"
+    path.write_text(render_transducer(single_state(order_1260_element().output[1])))
+    code, out = run(capsys, "subgroup-ag", str(path), "--cap", "2000")
+    assert code == 0 and out.startswith("order: 1260\n")
+    orders = [line.rsplit("order=", 1)[1] for line in out.splitlines() if "order=" in line]
+    assert len(orders) == 1260 and "None" not in orders
+    assert orders.count("1260") == 288
+
+
 def test_alphabet_mismatch_exit_code(fig_file, tmp_path, capsys):
     other = tmp_path / "two.txt"
     other.write_text(render_transducer(shift_transducer(2)))
