@@ -5,13 +5,11 @@ from .automata import (
     CapExceededError,
     StatePartition,
     SyncSequence,
-    canonical_form,
     core_of,
     de_bruijn,
     folding_from_sync,
     is_core,
     is_folding,
-    is_isomorphic,
     quotient,
     sync_level,
     sync_map,
@@ -37,8 +35,6 @@ from .digraph_aut import (
     automorphism_from_alphabet_perm,
     compose_automorphisms,
     enumerate_automorphisms,
-    identity_automorphism,
-    invert_automorphism,
     involution_factors,
     is_permutation_induced,
     transducer_from_automorphism,
@@ -49,17 +45,12 @@ from .rules import (
     apply_windows,
     compose,
     extend,
-    identity_rule,
-    is_left_permutive,
-    is_right_permutive,
     rule_to_transducer,
-    shift_rule,
     transducer_to_rule,
 )
 from .subgroups import (
     ChoiceDependenceError,
     SubgroupClosure,
-    dual_read,
     subgroup_automaton,
     subgroup_closure,
     w_word,
@@ -81,7 +72,6 @@ from .transducers import (
     order,
     product_min,
     product_raw,
-    shift_transducer,
     single_state,
     weak_minimize,
 )

@@ -372,14 +372,3 @@ def least_encoding(delta, output=None) -> tuple[bytes, list[int]]:
     if best is None:
         raise ValueError("no state reaches the whole machine; cannot canonicalize")
     return b"".join(v.to_bytes(4, "big") for v in best), best_order
-
-
-def canonical_form(a: Automaton) -> bytes:
-    """Renaming-invariant encoding: least BFS encoding over all root choices."""
-    return b"A" + least_encoding(a.delta)[0]
-
-
-def is_isomorphic(a: Automaton, b: Automaton) -> bool:
-    if a.alphabet_size != b.alphabet_size or a.state_count != b.state_count:
-        return False
-    return canonical_form(a) == canonical_form(b)

@@ -78,14 +78,6 @@ def perm_cycles(perm) -> list[list[int]]:
     return out
 
 
-def identity_automorphism(a: Automaton) -> DigraphAutomorphism:
-    n = a.alphabet_size
-    return DigraphAutomorphism(
-        tuple(range(a.state_count)),
-        tuple(tuple(range(n)) for _ in range(a.state_count)),
-    )
-
-
 def compose_automorphisms(
     first: DigraphAutomorphism, second: DigraphAutomorphism
 ) -> DigraphAutomorphism:
@@ -96,21 +88,6 @@ def compose_automorphisms(
         for q in range(len(first.vertex_perm))
     )
     return DigraphAutomorphism(vertex, edges)
-
-
-def invert_automorphism(phi: DigraphAutomorphism) -> DigraphAutomorphism:
-    m = len(phi.vertex_perm)
-    vertex = [0] * m
-    for q, v in enumerate(phi.vertex_perm):
-        vertex[v] = q
-    edges = []
-    for v in range(m):
-        q = vertex[v]
-        row = [0] * len(phi.edge_letters[q])
-        for x, y in enumerate(phi.edge_letters[q]):
-            row[y] = x
-        edges.append(tuple(row))
-    return DigraphAutomorphism(tuple(vertex), tuple(edges))
 
 
 def edge_count_matrix(a: Automaton) -> tuple[tuple[int, ...], ...]:

@@ -247,22 +247,3 @@ def parse_machine(text: str):
     if tag not in parsers:
         raise ParseError(f"unknown format tag {tag!r}")
     return parsers[tag](text)
-
-
-def to_dot(machine) -> str:
-    """DOT rendering with deterministic vertex and edge order."""
-    lines = ["digraph {", "  rankdir=LR;"]
-    if isinstance(machine, Transducer):
-        base, labels = machine.base, machine.output
-    elif isinstance(machine, Automaton):
-        base, labels = machine, None
-    else:
-        raise TypeError("to_dot renders automata and transducers")
-    for q in range(base.state_count):
-        lines.append(f'  {q} [label="q{q}" shape=circle];')
-    for q in range(base.state_count):
-        for x in range(base.alphabet_size):
-            label = str(x) if labels is None else f"{x}|{labels[q][x]}"
-            lines.append(f'  {q} -> {base.delta[q][x]} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -53,15 +53,6 @@ class LocalRule:
         return self.table[word_rank(word, self.alphabet_size)]
 
 
-def identity_rule(n: int) -> LocalRule:
-    return LocalRule(n, 1, tuple(range(n)))
-
-
-def shift_rule(n: int) -> LocalRule:
-    """Window-2 rule returning the older letter; slides to the shift map."""
-    return LocalRule(n, 2, tuple(a for a in range(n) for _ in range(n)))
-
-
 def apply_windows(f: LocalRule, x) -> Word:
     """Slide f along x; one output letter per window position."""
     word = parse_word(x, f.alphabet_size)
@@ -77,22 +68,6 @@ def apply_windows(f: LocalRule, x) -> Word:
         out.append(f.table[rank])
         rank %= modulus
     return tuple(out)
-
-
-def _permutive(f: LocalRule, step: int, starts) -> bool:
-    """Does x -> table[start + x * step] permute the alphabet for every start?"""
-    n = f.alphabet_size
-    return all(len({f.table[s + x * step] for x in range(n)}) == n for s in starts)
-
-
-def is_right_permutive(f: LocalRule) -> bool:
-    """For every fixed left block, the map on the final letter is a permutation."""
-    return _permutive(f, 1, range(0, len(f.table), f.alphabet_size))
-
-
-def is_left_permutive(f: LocalRule) -> bool:
-    stride = f.alphabet_size ** (f.window - 1)
-    return _permutive(f, stride, range(stride))
 
 
 def extend(f: LocalRule, k: int) -> LocalRule:

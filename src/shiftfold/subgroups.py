@@ -65,22 +65,6 @@ class ChoiceDependenceError(RuntimeError):
     outside the finite-subgroup hypothesis."""
 
 
-def dual_read(h: Transducer, gamma, p) -> tuple[int, ...]:
-    """Feed a word through a sequence of states, state by state.
-
-    Reading the current word from state p_i records the state reached and
-    replaces the word by the output produced; returns the recorded states.
-    """
-    word = parse_word(gamma, h.alphabet_size)
-    if not word:
-        raise ValueError("the word must be nonempty")
-    out = []
-    for state in p:
-        final, word = h.run(word, state)
-        out.append(final)
-    return tuple(out)
-
-
 def w_word(h: Transducer, gamma) -> tuple[int, ...]:
     """Minimal period of the forced-state sequence of iterated output images.
 

@@ -9,6 +9,14 @@ normalized partitions per round, and `oracle_weak_minimize` the minimized
 machine built from it: the references the minimizer is checked against.
 `is_collapse_equivalent` and `is_amalgamation` are exponential merge searches
 under a cap, the references the decomposition steps and terms are checked against.
+
+Helpers that build inputs or check other code, and that no library module, CLI
+command or benchmark reads, live here rather than in the package:
+`canonical_form` and `is_isomorphic` (automaton isomorphism by least BFS
+encoding), `shift_transducer` (the shift map, outside H_n), `dual_read` (a word
+fed through a sequence of states), `identity_rule`, `shift_rule` and
+`is_right_permutive` (local rules), and `identity_automorphism` and
+`invert_automorphism` (digraph automorphisms).
 """
 
 import random
@@ -19,9 +27,10 @@ import pytest
 
 from shiftfold import (
     Automaton,
+    DigraphAutomorphism,
+    LocalRule,
     StatePartition,
     Transducer,
-    canonical_form,
     de_bruijn,
     enumerate_automorphisms,
     enumerate_foldings,
@@ -30,7 +39,7 @@ from shiftfold import (
     quotient,
     transducer_from_automorphism,
 )
-from shiftfold.automata import CapExceededError, row_merge_partition
+from shiftfold.automata import CapExceededError, least_encoding, parse_word, row_merge_partition
 from shiftfold.digraph_aut import edge_count_matrix
 from shiftfold.formats import parse_transducer
 
@@ -88,6 +97,85 @@ def quotients_23(foldings_23):
 def quotients_32(foldings_32):
     g = de_bruijn(3, 2)
     return [quotient(g, p) for p in foldings_32]
+
+
+def canonical_form(a: Automaton) -> bytes:
+    """Renaming-invariant encoding: least BFS encoding over all root choices."""
+    return b"A" + least_encoding(a.delta)[0]
+
+
+def is_isomorphic(a: Automaton, b: Automaton) -> bool:
+    if a.alphabet_size != b.alphabet_size or a.state_count != b.state_count:
+        return False
+    return canonical_form(a) == canonical_form(b)
+
+
+def shift_transducer(n: int) -> Transducer:
+    """Reading x from state i outputs i and moves to state x."""
+    if n < 2:
+        raise ValueError("alphabet size must be at least 2")
+    delta = tuple(tuple(range(n)) for _ in range(n))
+    output = tuple(tuple(i for _ in range(n)) for i in range(n))
+    return Transducer(Automaton(n, delta), output)
+
+
+def dual_read(h: Transducer, gamma, p) -> tuple[int, ...]:
+    """Feed a word through a sequence of states, state by state.
+
+    Reading the current word from state p_i records the state reached and
+    replaces the word by the output produced; returns the recorded states.
+    """
+    word = parse_word(gamma, h.alphabet_size)
+    if not word:
+        raise ValueError("the word must be nonempty")
+    out = []
+    for state in p:
+        final, word = h.run(word, state)
+        out.append(final)
+    return tuple(out)
+
+
+def identity_rule(n: int) -> LocalRule:
+    return LocalRule(n, 1, tuple(range(n)))
+
+
+def shift_rule(n: int) -> LocalRule:
+    """Window-2 rule returning the older letter; slides to the shift map."""
+    return LocalRule(n, 2, tuple(a for a in range(n) for _ in range(n)))
+
+
+def _permutive(f: LocalRule, step: int, starts) -> bool:
+    """Does x -> table[start + x * step] permute the alphabet for every start?"""
+    n = f.alphabet_size
+    return all(len({f.table[s + x * step] for x in range(n)}) == n for s in starts)
+
+
+def is_right_permutive(f: LocalRule) -> bool:
+    """For every fixed left block, the map on the final letter is a permutation."""
+    return _permutive(f, 1, range(0, len(f.table), f.alphabet_size))
+
+
+def identity_automorphism(a: Automaton) -> DigraphAutomorphism:
+    n = a.alphabet_size
+    return DigraphAutomorphism(
+        tuple(range(a.state_count)),
+        tuple(tuple(range(n)) for _ in range(a.state_count)),
+    )
+
+
+def invert_automorphism(phi: DigraphAutomorphism) -> DigraphAutomorphism:
+    m = len(phi.vertex_perm)
+    vertex = [0] * m
+    for q, v in enumerate(phi.vertex_perm):
+        vertex[v] = q
+    edges = []
+    for v in range(m):
+        q = vertex[v]
+        row = [0] * len(phi.edge_letters[q])
+        for x, y in enumerate(phi.edge_letters[q]):
+            row[y] = x
+        edges.append(tuple(row))
+    return DigraphAutomorphism(tuple(vertex), tuple(edges))
 
 
 def oracle_minimize_partition(t):

@@ -26,7 +26,6 @@ from shiftfold import (
     product_min,
     product_raw,
     rule_to_transducer,
-    shift_transducer,
     single_state,
     subgroup_automaton,
     subgroup_closure,
@@ -39,7 +38,7 @@ from shiftfold import (
 )
 from shiftfold.cli import main
 from shiftfold.digraph_aut import compose_automorphisms
-from conftest import glued_machines, random_h3_elements
+from conftest import glued_machines, random_h3_elements, shift_transducer
 
 
 def _report(num, description, ok, started):

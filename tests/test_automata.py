@@ -7,20 +7,18 @@ from shiftfold import (
     Automaton,
     CapExceededError,
     StatePartition,
-    canonical_form,
     core_of,
     de_bruijn,
     folding_from_sync,
     is_core,
     is_folding,
-    is_isomorphic,
     quotient,
     sync_level,
     sync_map,
     sync_sequence,
 )
 
-from conftest import is_collapse_equivalent
+from conftest import canonical_form, is_collapse_equivalent, is_isomorphic
 
 
 def random_automaton(rng, n, m):

@@ -14,7 +14,6 @@ from shiftfold import (
     invert,
     order,
     product_min,
-    shift_transducer,
     single_state,
     sync_level,
 )
@@ -28,10 +27,9 @@ from shiftfold.formats import (
     render_rule,
     render_transducer,
 )
-from shiftfold.rules import shift_rule
 from shiftfold.transducers import ELEMENT_STATE_CAP
 
-from conftest import H3_INFINITE, h3_infinite, order_1260_element
+from conftest import H3_INFINITE, h3_infinite, order_1260_element, shift_rule, shift_transducer
 
 ROOT = Path(__file__).resolve().parent.parent
 

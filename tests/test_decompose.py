@@ -38,6 +38,7 @@ from conftest import (
     is_collapse_equivalent,
     order_1260_element,
     random_h3_elements,
+    shift_transducer,
 )
 
 
@@ -176,8 +177,6 @@ def test_decompose_single_state():
 
 
 def test_decompose_rejects_outsiders():
-    from shiftfold import shift_transducer
-
     with pytest.raises(ValueError):
         decompose(shift_transducer(2))
 

@@ -8,9 +8,7 @@ from shiftfold import (
     de_bruijn,
     enumerate_automorphisms,
     equal_omega,
-    identity_automorphism,
     identity_transducer,
-    invert_automorphism,
     involution_factors,
     is_permutation_induced,
     product_min,
@@ -23,6 +21,8 @@ from shiftfold import (
 )
 from shiftfold.digraph_aut import check_automorphism
 from shiftfold.counting import congruence_closure
+
+from conftest import identity_automorphism, invert_automorphism, is_isomorphic
 
 
 def test_de_bruijn_automorphism_counts():
@@ -225,7 +225,7 @@ def test_multi_edge_bound(quotients_22, quotients_23, quotients_32):
 def test_one_letter_term_forces_permutation_induced(quotients_22, quotients_23, quotients_32):
     """Foldings whose sync sequence passes through the one-letter de Bruijn
     graph only admit permutation-induced automorphisms."""
-    from shiftfold import is_isomorphic, sync_sequence
+    from shiftfold import sync_sequence
 
     for a in quotients_22 + quotients_23 + quotients_32:
         seq = sync_sequence(a)

@@ -10,7 +10,6 @@ from shiftfold import (
     Transducer,
     de_bruijn,
     enumerate_automorphisms,
-    shift_transducer,
 )
 from shiftfold.formats import (
     ParseError,
@@ -26,8 +25,9 @@ from shiftfold.formats import (
     render_partition,
     render_rule,
     render_transducer,
-    to_dot,
 )
+
+from conftest import shift_transducer
 
 
 def test_automaton_roundtrip(fig_automaton):
@@ -99,30 +99,6 @@ def test_missing_state_is_semantic():
 def test_unknown_tag():
     with pytest.raises(ParseError):
         parse_machine("widget n=2\n")
-
-
-def test_dot_automaton_counts():
-    dot = to_dot(de_bruijn(2, 1))
-    assert dot.count("->") == 4
-    assert dot.count("[label=\"q") == 2
-
-
-def test_dot_transducer_labels(fig_transducer):
-    dot = to_dot(fig_transducer)
-    assert dot.count("->") == 9
-    assert '0|2' in dot and '1|0' in dot
-
-
-def test_dot_identity_loops():
-    from shiftfold import single_state
-
-    dot = to_dot(single_state((0, 1)))
-    assert dot.count("->") == 2
-    assert dot.count("0 -> 0") == 2
-
-
-def test_dot_deterministic(fig_transducer):
-    assert to_dot(fig_transducer) == to_dot(fig_transducer)
 
 
 def test_header_state_count_allocates_nothing():

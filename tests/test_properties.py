@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from shiftfold import (
     Automaton,
     Transducer,
-    canonical_form,
     canonical_key,
     canonical_rep,
     decompose,
@@ -26,6 +25,8 @@ from shiftfold import (
     verify,
 )
 from shiftfold.automata import least_encoding
+
+from conftest import canonical_form
 
 SETTINGS = settings(max_examples=25, deadline=None)
 

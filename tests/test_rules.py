@@ -11,17 +11,14 @@ from shiftfold import (
     compose,
     equal_omega,
     extend,
-    identity_rule,
-    is_left_permutive,
-    is_right_permutive,
     minimal_rep,
     rule_to_transducer,
-    shift_rule,
-    shift_transducer,
     single_state,
     sync_level,
     transducer_to_rule,
 )
+
+from conftest import identity_rule, is_right_permutive, shift_rule, shift_transducer
 
 
 # the running two-window examples over X_3:
@@ -51,12 +48,9 @@ def test_g_example_window():
 
 def test_permutivity_examples():
     assert is_right_permutive(RULE_G)
-    assert not is_left_permutive(RULE_G)
     assert is_right_permutive(RULE_F)
     assert is_right_permutive(identity_rule(2))
-    assert is_left_permutive(identity_rule(2))
     assert not is_right_permutive(shift_rule(2))
-    assert is_left_permutive(shift_rule(2))
 
 
 def test_extend_keeps_windows():

@@ -13,18 +13,14 @@ from shiftfold import (
     canonical_rep,
     de_bruijn,
     decompose,
-    dual_read,
     enumerate_automorphisms,
     equal_omega,
-    identity_automorphism,
     identity_transducer,
     invert,
-    is_isomorphic,
     minimal_rep,
     order,
     product_min,
     quotient,
-    shift_transducer,
     single_state,
     StatePartition,
     subgroup_automaton,
@@ -39,7 +35,14 @@ from shiftfold.digraph_aut import compose_automorphisms
 from shiftfold.transducers import ELEMENT_STATE_CAP, renumber
 from shiftfold.formats import parse_transducer
 
-from conftest import h3_infinite, random_h3_elements
+from conftest import (
+    dual_read,
+    h3_infinite,
+    identity_automorphism,
+    is_isomorphic,
+    random_h3_elements,
+    shift_transducer,
+)
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 H3_INFINITE = INPUTS / "h3_infinite.txt"

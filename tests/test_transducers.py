@@ -21,13 +21,12 @@ from shiftfold import (
     order,
     product_min,
     product_raw,
-    shift_transducer,
     single_state,
     sync_level,
     weak_minimize,
 )
 
-from conftest import oracle_minimize_partition, random_h3_elements
+from conftest import oracle_minimize_partition, random_h3_elements, shift_transducer
 
 
 def test_shift_transducer_tables():
