@@ -10,17 +10,16 @@ behaviourally equal machines executable.
 
 Products are the one large-scale path (`order` forms each power of an element
 with one), so the work per state of the product walks and of the Moore
-refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.fromkeys`)
+refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.setdefault`)
 rather than in Python loops over letters.  There are two walks.
 `product_min` visits pairs of states one at a time and numbers them by raw
 index, which fixes the bytes `product` writes.  `order` holds each power as
 per-letter columns and walks the core of its small base times the last power
 block by block (one set of power states per base state), mapping a whole
-block through one column at a time.  It refines that core only once it
-passes the state cap, with a refinement that stops once the class count
-passes the cap, so a power past it is never fully minimized, and no power is
-built as a machine.  That cap is `order`'s alone: every other product,
-`subgroup_closure`'s included, is a whole `product_min`.
+block through one column at a time.  The refinement (`_refine`) works on such
+columns, so `order` refines a core past the state cap as walked, stopping once
+the class count passes the cap: a power past it is never fully minimized, and
+none is built as a machine.  Every other product is a whole `product_min`.
 
 Inputs are checked where they come in: the `Transducer` and `Automaton`
 constructors check every table entry, and `is_in_hn` checks group
@@ -150,52 +149,50 @@ def core(t: Transducer) -> Transducer:
     return _trusted(Transducer, base=base, output=tuple(t.output[q] for q in kept))
 
 
-def _refine(delta, output, cap: int):
-    """Moore refinement of the tables of a machine: the merged machine's (delta, output), the
-    given tables themselves when no two states merge, or None once the class count passes
-    `cap`.  The count only grows from round to round, so None means exactly that the merged
-    machine has more than `cap` states.
+def _refine(cols, output, cap: int):
+    """Moore refinement of a machine given as per-letter successor columns (`cols[x][q]` is
+    state q's successor on letter x) and output rows: the merged machine's (columns, output
+    rows), the given objects themselves when no two states merge, or None once the class
+    count passes `cap`.  The count only grows from round to round, so None means exactly
+    that the merged machine has more than `cap` states.
 
-    Round 1 labels each state by its output row; each later round labels it by its class and
-    its successors' classes, read off the transposed transition columns, which are formed
-    only when a second round is needed.  Labels are numbered by first occurrence, so the
-    first round that splits no class is the merged machine: each class then has exactly one
-    label, so every state of class c has the same successor classes (the classes form a
-    folding), and the labels arrive in class order 0, 1, ..., so label c with its class
-    dropped is row c of the merged transition table.  States of one class share their output
-    row, which the first round grouped them by.  A round that gives every state its own class
-    ends the refinement with no merge: first-occurrence numbering then numbers state q as
-    class q, so the merged machine would equal the given one.
+    Round 1 labels each state by its output row, each later round by its class and its
+    successors' classes, one mapped column per letter.  A round is one C-level pass of
+    `setdefault`, which hashes each label once and names each class by its least state.  In
+    the first round that splits no class, every state of a class has the same successor
+    classes (the classes form a folding), so the round holds one label per class, in the
+    order of the classes' least states.  Numbering the classes 0, 1, ... in that order (the
+    first-occurrence numbering) turns the labels' columns into the merged machine's.
     """
     m = len(output)
-    labels = dict.fromkeys(output)
-    keys = output
-    cols = None
+    keys, count = output, 0
     while True:
+        labels = {}
+        cls = list(map(labels.setdefault, keys, range(m)))  # each state's class: its least state
+        if len(labels) == count:
+            reps, *merged = zip(*labels)
+            number = repeat(dict(zip(reps, range(count))).__getitem__)
+            return tuple(map(tuple, map(map, number, merged))), tuple(map(output.__getitem__, reps))
         count = len(labels)
         if count > cap:
             return None
         if count == m:
-            return delta, output
-        cls = list(map(dict(zip(labels, range(count))).__getitem__, keys))
-        if cols is None:
-            cols = tuple(zip(*delta))
-        # each state's class, then its successors' classes: one mapped column per letter
-        keys = list(zip(cls, *map(map, repeat(cls.__getitem__), cols)))
-        labels = dict.fromkeys(keys)
-        if len(labels) == count:
-            rows = map(itemgetter(slice(1, None)), labels)  # each label with its class dropped
-            return tuple(rows), tuple(dict(zip(cls, output)).values())
+            return cols, output
+        keys = zip(cls, *map(map, repeat(cls.__getitem__), cols))
 
 
 def weak_minimize(t: Transducer) -> Transducer:
-    """Merge states that output the same word on every input (Moore refinement, see
-    `_refine`); T itself when no two states merge.  Merging never raises the sync level, so
-    the merged machine keeps T's known bound on it."""
-    delta, output = _refine(t.base.delta, t.output, t.state_count)
-    if output is t.output:
+    """Merge states that output the same word on every input (`_refine` on T's columns); T
+    itself when no two states merge, as when its output rows differ, which is tested before
+    the transpose.  Merging never raises the sync level, so T's known bound on it is kept."""
+    output = t.output
+    m = len(output)
+    if len(set(output)) == m:
         return t
-    return _machine(t.alphabet_size, delta, output, _known_bound(t.base))
+    cols, merged = _refine(tuple(zip(*t.base.delta)), output, m)
+    if merged is output:
+        return t
+    return _machine(t.alphabet_size, tuple(zip(*cols)), merged, _known_bound(t.base))
 
 
 def minimal_rep(t: Transducer) -> Transducer:
@@ -419,9 +416,10 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     no power is built as a machine.  T^k is the identity exactly when every state of that core
     outputs the identity row, so the core needs no minimizing for the test, and its
     successors are read only when it fails.  A core of at most `cap_states` states cannot
-    minimize past the cap, so it is kept as it is; a bigger one is refined with the cap
-    (see `_refine`), which stops once its class count passes it.  So None means that the
-    order exceeds `cap_iters`, or that some minimal power T^j with j >= 2 has more than
+    minimize past the cap, so it is kept as it is; a bigger one is refined with the cap in
+    the columns just walked (see `_refine`), which stops once its class count passes it, and
+    the merged columns are the next power's.  So None means that the order exceeds
+    `cap_iters`, or that some minimal power T^j with j >= 2 has more than
     `cap_states` states: one short of the identity, or any at `cap_states=0`.  Powers of
     infinite-order elements, which grow without bound, trip the state cap.  The base T^1 is
     not held to the cap: a 4-state involution has order 2 even at `cap_states=1`.  A state
@@ -487,8 +485,8 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
                 for col, (p2, y) in zip(nxt, move):
                     col += map(rank[p2], map(cols[y], block))
         if len(output) > cap_states:
-            merged = _refine(tuple(zip(*nxt)), output, cap_states)
+            merged = _refine(nxt, output, cap_states)
             if merged is None:
                 return None
-            nxt, output = tuple(zip(*merged[0])), merged[1]
+            nxt, output = merged
     return None

@@ -1,22 +1,23 @@
 """Capped refinement: how `order` forms its powers.
 
-`transducers._refine(delta, output, cap)` on the tables `_core_tables(t, u)`
-builds is the tables of `product_min(t, u)`, or None when that product has
-more than `cap` states.  The refinement stops as soon as the class count
-passes the cap, and the count never falls from round to round, so None must
-come exactly when the minimized product is over the cap, at the boundary too.
-`order` is the one caller with a cap below the size of the tables it refines.
-It minimizes its input once, for both the membership test and the base of its
-powers.  It walks each power as the core of the base times the last power,
-block by block in per-letter columns (`_power_blocks`), refines that core
-only once it has more states than the cap, and never builds a power as a
-machine.  At every cap it must answer as the loop it replaced, which formed
-each whole power with `product_min`: on golden inputs, on random H_3
-products, on every element of the G(3,2) glued pool, and on big bases (powers
-of `h3_infinite`, and torsion elements conjugated by them) whose walks run
-through many blocks.  The refinement behind `weak_minimize` must still match
-the two-partition oracle on machines that are not core or do not
-synchronize, and return a minimal machine itself.
+`transducers._refine(cols, output, cap)` on the per-letter columns of the
+tables `_core_tables(t, u)` builds is the columns of `product_min(t, u)`, or
+None when that product has more than `cap` states.  The refinement stops as
+soon as the class count passes the cap, and the count never falls from round
+to round, so None must come exactly when the minimized product is over the
+cap, at the boundary too.  `order` is the one caller with a cap below the
+size of the tables it refines.  It minimizes its input once, for both the
+membership test and the base of its powers.  It walks each power as the core
+of the base times the last power, block by block in per-letter columns
+(`_power_blocks`), refines that core in those columns only once it has more
+states than the cap, and never builds a power as a machine.  At every cap it
+must answer as the loop it replaced, which formed each whole power with
+`product_min`: on golden inputs, on random H_3 products, on every element of
+the G(3,2) glued pool, and on big bases (powers of `h3_infinite`, and torsion
+elements conjugated by them) whose walks run through many blocks.  The
+refinement behind `weak_minimize` must still match the two-partition oracle
+on machines that are not core or do not synchronize, and return a minimal
+machine itself.
 """
 
 from pathlib import Path
@@ -49,9 +50,14 @@ picks = st.lists(st.integers(min_value=0), min_size=1, max_size=3)
 
 
 def refined(t, u, cap):
-    """The core tables of T times U refined with `cap`, as `order` refines a power."""
+    """The core tables of T times U refined with `cap`, as `order` refines a power, with the
+    merged columns transposed back to rows."""
     delta, output, _ = _core_tables(t, u)
-    return _refine(delta, output, cap)
+    merged = _refine(tuple(zip(*delta)), output, cap)
+    if merged is None:
+        return None
+    cols, output = merged
+    return tuple(zip(*cols)), output
 
 
 def assert_capped_at_the_boundary(t, u):
@@ -185,7 +191,7 @@ def test_order_refines_only_the_first_core_past_the_cap(monkeypatch):
     """A core of at most `cap_states` states is never refined: the only refinements are the
     input's own minimization and the one of the first core past the cap."""
     t = parse_transducer(H3_INFINITE.read_text())
-    cores, refined = [], []
+    cores, refined, shapes = [], [], []
     power_blocks, refine = transducers._power_blocks, transducers._refine
 
     def counted_power_blocks(moves, nxt, p, q):
@@ -193,15 +199,29 @@ def test_order_refines_only_the_first_core_past_the_cap(monkeypatch):
         cores.append(sum(map(len, blocks)))
         return blocks
 
-    def counted_refine(delta, output, cap):
+    def counted_refine(cols, output, cap):
         refined.append(len(output))
-        return refine(delta, output, cap)
+        shapes.append(list(map(len, cols)))
+        return refine(cols, output, cap)
 
     monkeypatch.setattr(transducers, "_power_blocks", counted_power_blocks)
     monkeypatch.setattr(transducers, "_refine", counted_refine)
     assert order(t, cap_states=100) is None
     assert cores == [15, 35, 70, 150]
     assert refined == [t.state_count, 150]
+    assert shapes == [[m] * t.alphabet_size for m in refined]  # columns, one entry per state
+
+
+def test_order_refines_the_big_core_of_a_big_power_in_columns():
+    """The fifth power of `h3_infinite` (150 states) at the default state cap: its first core
+    past the cap has 158,780 states, which `order` refines in the columns it walked."""
+    base = h3_infinite()
+    power = base
+    for _ in range(4):
+        power = product_min(power, base)
+    assert power.state_count == 150
+    assert order(power, cap_states=ELEMENT_STATE_CAP) is None
+    assert replaced_order(power, ELEMENT_STATE_CAP) is None
 
 
 @SETTINGS

@@ -7,7 +7,10 @@ operand errors in the same order.  `weak_minimize` reads the merged machine
 off its last refinement round; it must return the very object built the
 long way, from the classes of `oracle_minimize_partition` (the refinement
 with two normalized partitions per round), `quotient` and the outputs of the
-first state of each class, and it must be idempotent.  The guards fail if
+first state of each class, and it must be idempotent.  `_refine` itself, on
+a machine's per-letter columns, must give None exactly when the merged
+machine passes its cap, else the merged columns, and the very columns and
+output rows it was given when no two states merge.  The guards fail if
 `product_min` or `order` falls back to the raw product or to core
 extraction, or if minimizing builds a `StatePartition`.
 """
@@ -108,6 +111,24 @@ def transducer_tables(draw):
 @given(transducer_tables())
 def test_refinement_matches_two_partitions_per_round(t):
     assert_minimizes_as_oracle(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transducer_tables())
+def test_refinement_on_columns_is_capped_exactly(t):
+    """`_refine` on T's transition columns, at caps one below, at and past the oracle's class
+    count k: None exactly when k passes the cap, else the oracle's tables once transposed
+    back, and the very columns and output rows it was given when no two states merge."""
+    expected = oracle_weak_minimize(t)
+    k, m = expected.state_count, t.state_count
+    cols = tuple(zip(*t.base.delta))
+    for cap in (k - 1, k, m):
+        merged = transducers._refine(cols, t.output, cap)
+        assert (merged is None) == (k > cap)
+        if merged is not None:
+            assert (tuple(zip(*merged[0])), merged[1]) == (expected.base.delta, expected.output)
+            if k == m:
+                assert merged[0] is cols and merged[1] is t.output
 
 
 @SETTINGS
