@@ -21,6 +21,11 @@ from .transducers import (
     weak_minimize,
 )
 
+# Largest automaton, in states, whose automorphisms are searched for.  The vertex search
+# recurses once per state, so this leaves about half of Python's default recursion limit
+# of 1,000 frames to its callers.
+AUT_STATE_CAP = 512
+
 
 @dataclass(frozen=True)
 class DigraphAutomorphism:
@@ -138,11 +143,16 @@ def _vertex_perms(a: Automaton):
 
 def enumerate_automorphisms(a: Automaton, cap: int = 10_000) -> list[DigraphAutomorphism]:
     """All digraph automorphisms, in lexicographic (vertex map, edge map) order; past `cap`
-    of them CapExceededError, and a negative cap is refused with ValueError."""
+    of them CapExceededError, and a negative cap is refused with ValueError.  An automaton
+    of more than `AUT_STATE_CAP` states is refused with CapExceededError before the search."""
     if cap < 0:
         raise ValueError(f"automorphism cap {cap} is negative")
     n = a.alphabet_size
     m = a.state_count
+    if m > AUT_STATE_CAP:
+        raise CapExceededError(
+            f"automorphism search is limited to {AUT_STATE_CAP} states; the automaton has {m}"
+        )
     letters_to: list[dict[int, list[int]]] = []
     for p in range(m):
         classes: dict[int, list[int]] = {}

@@ -14,12 +14,15 @@ refinement runs in C builtins (`map`, `zip`, `itemgetter`, `dict.setdefault`)
 rather than in Python loops over letters.  There are two walks.
 `product_min` visits pairs of states one at a time and numbers them by raw
 index, which fixes the bytes `product` writes.  `order` holds each power as
-per-letter columns and walks the core of its small base times the last power
-block by block (one set of power states per base state), mapping a whole
-block through one column at a time.  The refinement (`_refine`) works on such
-columns, so `order` refines a core past the state cap as walked, stopping once
-the class count passes the cap: a power past it is never fully minimized, and
-none is built as a machine.  Every other product is a whole `product_min`.
+per-letter columns plus one interned output-row id per state, and walks the
+core of its small base times the last power block by block (one set of power
+states per base state).  Batches of newly found states wait per base state
+and are swept round-robin, each moving through one column at a time, and a
+state's row id is read from its base state's table, filled as rows are met.
+The refinement (`_refine`) works on such columns and ids, so `order` refines a
+core past the state cap as walked, stopping once the class count passes the
+cap: a power past it is never fully minimized, and none is built as a
+machine.  Every other product is a whole `product_min`.
 
 Inputs are checked where they come in: the `Transducer` and `Automaton`
 constructors check every table entry, and `is_in_hn` checks group
@@ -34,7 +37,7 @@ again.  Operands the library did not build are analysed as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count, filterfalse, repeat
 from math import ceil
 from operator import add, itemgetter
 
@@ -151,10 +154,11 @@ def core(t: Transducer) -> Transducer:
 
 def _refine(cols, output, cap: int):
     """Moore refinement of a machine given as per-letter successor columns (`cols[x][q]` is
-    state q's successor on letter x) and output rows: the merged machine's (columns, output
-    rows), the given objects themselves when no two states merge, or None once the class
-    count passes `cap`.  The count only grows from round to round, so None means exactly
-    that the merged machine has more than `cap` states.
+    state q's successor on letter x) and output rows, or any labels equal exactly when the
+    rows are, as `order`'s row ids: the merged machine's (columns, output rows), the given
+    objects themselves when no two states merge, or None once the class count passes `cap`.
+    The count only grows from round to round, so None means exactly that the merged
+    machine has more than `cap` states.
 
     Round 1 labels each state by its output row, each later round by its class and its
     successors' classes, one mapped column per letter.  A round is one C-level pass of
@@ -379,24 +383,69 @@ def _power_blocks(moves, nxt, p: int, q: int) -> list[set[int]]:
 
     `moves[p]` lists T's (successor, output letter) at state p for each letter, and
     `nxt[y][q]` is P's successor of state q on letter y.  The states newly found in block p
-    move to block `moves[p][x][0]` through the one column `nxt[moves[p][x][1]]`, a whole
-    batch per C-level `map`, and states found while a block waits join its pending batch.
+    wait as one batch, `pending[p]`, which states found while it waits join.  The walk
+    sweeps p = 0, 1, ... round-robin until no batch waits, and moves each batch to block
+    `moves[p][x][0]` through the one column `nxt[moves[p][x][1]]`: a whole batch per C-level
+    `map`, keeping the states that block lacks by one membership test each, so the cost
+    follows the batch and not the block.  A batch of one state, the common case in small
+    walks, moves letter by letter instead, with no set built per letter.  Sweeping lets
+    batches grow while they wait: the 117 walks of one `power_growth` pass (46,761 power
+    states) move 2,590 batches, where taking the latest batch first moved 4,852, and take
+    17.5 instead of 24.8 ms (2 vCPU, Python 3.11.7).
     """
     blocks = [set() for _ in moves]
     blocks[p].add(q)
-    pending = {p: {q}}
-    while pending:
-        p, new = pending.popitem()
-        for p2, y in moves[p]:
-            fresh = set(map(nxt[y].__getitem__, new))
-            fresh -= blocks[p2]
-            if fresh:
-                blocks[p2] |= fresh
-                if p2 in pending:
-                    pending[p2] |= fresh
-                else:
-                    pending[p2] = fresh
+    pending = [None] * len(moves)
+    pending[p] = {q}
+    known = [block.__contains__ for block in blocks]
+    cols = [col.__getitem__ for col in nxt]
+    while any(pending):
+        for p, new in enumerate(pending):
+            if not new:
+                continue
+            pending[p] = None
+            if len(new) == 1:
+                (q,) = new
+                for p2, y in moves[p]:
+                    r = nxt[y][q]
+                    if r not in blocks[p2]:
+                        blocks[p2].add(r)
+                        if pending[p2]:
+                            pending[p2].add(r)
+                        else:
+                            pending[p2] = {r}
+            else:
+                for p2, y in moves[p]:
+                    fresh = set(filterfalse(known[p2], map(cols[y], new)))
+                    if fresh:
+                        blocks[p2] |= fresh
+                        if pending[p2]:
+                            pending[p2] |= fresh
+                        else:
+                            pending[p2] = fresh
     return blocks
+
+
+class _RowIds(dict):
+    """The output-row ids of one base state p in `order`: maps the id of a power state q's
+    row to the id of (p, q)'s row, q's row read through p's output row (`pick`).  A missing
+    id is computed on first use, and a row not met before is interned: appended to the
+    call's shared list `rows` (id -> row) and numbered in its shared dict `ids` (row -> id).
+    So the work is bounded by the (p, row) pairs actually met, not by the base's states
+    times all rows."""
+
+    __slots__ = ("pick", "rows", "ids")
+
+    def __init__(self, pick, rows, ids):
+        self.pick, self.rows, self.ids = pick, rows, ids
+
+    def __missing__(self, r: int) -> int:
+        rows = self.rows
+        row = self.pick(rows[r])
+        i = self[r] = self.ids.setdefault(row, len(rows))
+        if i == len(rows):
+            rows.append(row)
+        return i
 
 
 def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1_000) -> int | None:
@@ -411,11 +460,15 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     T^k is the core of T times T^(k-1), walked from a forced pair with the small base T
     leading (see `_power_blocks`): the core is one block of power states per state of T.
     The power is held as per-letter successor columns, so the walk and the next columns map
-    a whole block through one column at a time, and as one output row per state, so the
-    identity test is one `count`.  The core is numbered block by block, with no sort, and
-    no power is built as a machine.  T^k is the identity exactly when every state of that core
-    outputs the identity row, so the core needs no minimizing for the test, and its
-    successors are read only when it fails.  A core of at most `cap_states` states cannot
+    a whole block through one column at a time, and as one output-row id per state.  T^2's
+    rows are read off the base's as tuples, tested, and only then interned, id 0 being the
+    identity row, so a call that ends at k = 2 (most torsion elements) builds no table.
+    From T^3 on, pair (p, q) reads its id from base state p's table (`_RowIds`) at q's id,
+    so no row is built per power state, the identity test is one `count` of 0, and the
+    refinement's first round hashes ints.  The core is numbered block by block, with no
+    sort, and no power is built as a machine.  T^k is the identity exactly when every state of that core outputs
+    the identity row, so the core needs no minimizing for the test, and its successors are
+    read only when it fails.  A core of at most `cap_states` states cannot
     minimize past the cap, so it is kept as it is; a bigger one is refined with the cap in
     the columns just walked (see `_refine`), which stops once its class count passes it, and
     the merged columns are the next power's.  So None means that the order exceeds
@@ -456,7 +509,6 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
                 return k
         return None
     moves = list(map(tuple, map(zip, delta, output)))
-    picks = [itemgetter(*row) for row in output]  # two or more letters: each picks a tuple
     nxt = tuple(zip(*delta))
     # reading zeros long enough forces a pair of the core: T settles on the state `start`
     # that letter 0 fixes, outputting `letter` there, and the power on the state it fixes
@@ -464,17 +516,29 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     while delta[start][0] != start:
         start = delta[start][0]
     letter = output[start][0]
+    picks = [itemgetter(*row) for row in output]  # two or more letters: each picks a tuple
+    tables = None
     for k in range(2, cap_iters + 1):
         q, step = 0, nxt[letter]
         while step[q] != q:
             q = step[q]
         blocks = _power_blocks(moves, nxt, start, q)
-        rows = output.__getitem__
+        last = output.__getitem__
         output = []
-        for pick, block in zip(picks, blocks):  # (p, q) outputs q's row read through p's
-            output += map(pick, map(rows, block))
-        if output.count(ident) == len(output):
-            return k
+        if tables is None:  # T^2: (p, q) outputs q's row read through p's, as a tuple
+            for pick, block in zip(picks, blocks):
+                output += map(pick, map(last, block))
+            if output.count(ident) == len(output):
+                return k
+            rows = list(dict.fromkeys(chain((ident,), output)))  # id 0 is the identity
+            ids = dict(zip(rows, count()))
+            output = list(map(ids.__getitem__, output))
+            tables = [_RowIds(pick, rows, ids) for pick in picks]
+        else:  # (p, q)'s row id, from p's table at q's
+            for table, block in zip(tables, blocks):
+                output += map(table.__getitem__, map(last, block))
+            if output.count(0) == len(output):
+                return k
         number = count()  # zip stops at the end of a block before it draws a number
         rank = [dict(zip(block, number)).__getitem__ for block in blocks]
         cols = [col.__getitem__ for col in nxt]

@@ -9,37 +9,51 @@ cap, at the boundary too.  `order` is the one caller with a cap below the
 size of the tables it refines.  It minimizes its input once, for both the
 membership test and the base of its powers.  It walks each power as the core
 of the base times the last power, block by block in per-letter columns
-(`_power_blocks`), refines that core in those columns only once it has more
-states than the cap, and never builds a power as a machine.  At every cap it
-must answer as the loop it replaced, which formed each whole power with
+(`_power_blocks`: batches of new power states wait per base state and are
+swept round-robin), holds each power's outputs as ids of interned rows,
+refines that core in those columns only once it has more states than the
+cap, and never builds a power as a machine.  The walk must find the same
+blocks as a pair-by-pair walk of the core, and at every cap `order` must
+answer as the loop it replaced, which formed each whole power with
 `product_min`: on golden inputs, on random H_3 products, on every element of
-the G(3,2) glued pool, and on big bases (powers of `h3_infinite`, and torsion
-elements conjugated by them) whose walks run through many blocks.  The
-refinement behind `weak_minimize` must still match the two-partition oracle
-on machines that are not core or do not synchronize, and return a minimal
-machine itself.
+the G(3,2) glued pool, on 4-letter elements whose powers output rows the
+walk interns as it meets them, and on big bases (powers of `h3_infinite`,
+and torsion elements conjugated by them) whose walks run through many
+blocks.  The refinement behind `weak_minimize` must still match the
+two-partition oracle on machines that are not core or do not synchronize,
+and return a minimal machine itself.
 """
 
+import random
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftfold import (
     Automaton,
     Transducer,
+    canonical_key,
+    canonical_rep,
+    congruence_closure,
+    de_bruijn,
+    enumerate_automorphisms,
     invert,
     is_core,
     minimal_rep,
     order,
     product_min,
     product_raw,
+    quotient,
     sync_level,
+    transducer_from_automorphism,
     weak_minimize,
 )
 from shiftfold import transducers
+from shiftfold.automata import CapExceededError
 from shiftfold.formats import parse_transducer
-from shiftfold.transducers import ELEMENT_STATE_CAP, _core_tables, _refine, renumber
+from shiftfold.transducers import ELEMENT_STATE_CAP, _core_tables, _power_blocks, _refine, renumber
 
 from conftest import H3_INFINITE, h3_infinite, oracle_weak_minimize, pool_product
 
@@ -158,6 +172,119 @@ def test_order_is_unchanged_on_big_bases():
             conjugate = product_min(product_min(invert(g), t), g)
             assert order(conjugate) == k
             assert_order_unchanged_at_each_power_size(conjugate, (name, g.state_count))
+
+
+def power(t, k):
+    """T^k by `product_min`."""
+    p = t
+    for _ in range(k - 1):
+        p = product_min(p, t)
+    return p
+
+
+def oracle_blocks(t, u, p, q):
+    """core(T x U) from the pair (p, q), walked pair by pair: U's states grouped by T's."""
+    blocks = [set() for _ in range(t.state_count)]
+    blocks[p].add(q)
+    visit = [(p, q)]
+    for p, q in visit:
+        for x, y in enumerate(t.output[p]):
+            pair = t.base.delta[p][x], u.base.delta[q][y]
+            if pair[1] not in blocks[pair[0]]:
+                blocks[pair[0]].add(pair[1])
+                visit.append(pair)
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def h3_infinite_powers():
+    """`h3_infinite` (6 states) and its powers of 15 and 35 states."""
+    base = h3_infinite()
+    return [base, power(base, 2), power(base, 3)]
+
+
+@SETTINGS
+@given(st.one_of(picks, st.integers(0, 2)), picks, st.integers(1, 3), st.integers(1, 3))
+def test_power_blocks_match_a_pair_by_pair_walk(h3_pool, h3_infinite_powers, left, right, i, j):
+    """From a forced pair, reached by reading zeros for the sum of the sync levels,
+    `_power_blocks` finds core(T x P) block for block as a pair-by-pair walk does, with as
+    many states as `_core_tables` walks.  T is a drawn power of a pool product, or
+    `h3_infinite` or its 15- or 35-state power, whose walks span many blocks; P is a drawn
+    power of a pool product."""
+    if isinstance(left, int):
+        t = h3_infinite_powers[left]
+    else:
+        t = power(pool_product(h3_pool, left), i)
+    u = power(pool_product(h3_pool, right), j)
+    p = q = 0
+    for _ in range(sync_level(t.base) + sync_level(u.base)):
+        p, q = t.base.delta[p][0], u.base.delta[q][t.output[p][0]]
+    moves = list(map(tuple, map(zip, t.base.delta, t.output)))
+    blocks = _power_blocks(moves, tuple(zip(*u.base.delta)), p, q)
+    assert blocks == oracle_blocks(t, u, p, q)
+    assert sum(map(len, blocks)) == len(_core_tables(t, u)[1])
+
+
+@pytest.fixture(scope="module")
+def g42_pool():
+    """The distinct multi-state glued machines of 4-letter foldings, in (state count,
+    canonical key) order.  Each folding is the quotient of G(4,2) by the congruence closing
+    one to three seeded random pairs of states, as the benchmark's `forced_words` makes its
+    G(2,6) ones; a folding with more than 200 automorphisms is skipped."""
+    g = de_bruijn(4, 2)
+    rng = random.Random(4)
+    found = {}
+    for _ in range(40):
+        pairs = [tuple(rng.sample(range(16), 2)) for _ in range(rng.choice((1, 2, 3)))]
+        partition = congruence_closure(g, pairs)
+        if partition.class_count < 3:
+            continue
+        a = quotient(g, partition)
+        try:
+            autos = enumerate_automorphisms(a, cap=200)
+        except CapExceededError:
+            continue
+        for phi in autos:
+            h = canonical_rep(transducer_from_automorphism(a, phi))
+            if h.state_count > 1:
+                found.setdefault(canonical_key(h), h)
+    return [found[key] for key in sorted(found, key=lambda key: (found[key].state_count, key))]
+
+
+def has_a_new_row(t, limit=400):
+    """Does some power T^k with k >= 3, up to `limit` states, output a row that neither the
+    identity nor T^2 outputs, nor any power between?  `order` interns T^2's rows at once,
+    so such a row is one its tables intern as the walk meets it."""
+    p = product_min(t, t)
+    rows = {tuple(range(t.alphabet_size)), *p.output}
+    for _ in range(6):
+        if p.state_count == 1 or p.state_count > limit:
+            return False
+        p = product_min(p, t)
+        if not rows.issuperset(p.output):
+            return True
+        rows.update(p.output)
+    return False
+
+
+# (left, right) indices into `g42_pool`; right None for the element itself.  Orders 4 and
+# 4 of a 3- and a 4-state element, 12, 6 and 6 of products, and four infinite-order products.
+G42_ELEMENTS = [
+    (45, None), (278, None), (230, 241), (14, 199), (11, 213), (32, 130), (15, 11),
+    (60, 253), (275, 213),
+]
+
+
+def test_order_is_unchanged_on_a_four_letter_alphabet(g42_pool):
+    """`order` against `replaced_order` at caps one below, at and one above each power's size,
+    on 4-letter elements some power of which, past T^2, outputs a new row, one `order`'s
+    tables intern as the walk meets it.  Big bases, one table per state, are the powers of
+    `h3_infinite` in `test_order_is_unchanged_on_big_bases`."""
+    for left, right in G42_ELEMENTS:
+        t = g42_pool[left] if right is None else product_min(g42_pool[left], g42_pool[right])
+        assert t.alphabet_size == 4 and t.state_count > 1
+        assert has_a_new_row(t), (left, right)
+        assert_order_unchanged_at_each_power_size(t, (left, right))
 
 
 def test_order_minimizes_its_input_once_and_never_builds_the_power_past_the_cap(monkeypatch):

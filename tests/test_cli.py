@@ -508,6 +508,17 @@ def test_aut_refuses_factorially_many_edge_maps_before_building_them(tmp_path):
     assert proc.stderr == "error: automorphism enumeration cap exceeded\n"
 
 
+def test_aut_refuses_an_automaton_past_the_state_bound(tmp_path):
+    """G(2,10) has 1,024 states, past `AUT_STATE_CAP`: the recursive vertex search would
+    overflow Python's recursion limit, so `aut` refuses it before the search, with one line
+    on stderr and no traceback."""
+    path = tmp_path / "g2_10.txt"
+    path.write_text(render_automaton(de_bruijn(2, 10)))
+    proc = run_child(["aut", str(path)], timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: automorphism search is limited to 512 states; the automaton has 1024\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from shiftfold import (
@@ -19,7 +21,7 @@ from shiftfold import (
     verify_embedding,
     weak_minimize,
 )
-from shiftfold.digraph_aut import check_automorphism
+from shiftfold.digraph_aut import AUT_STATE_CAP, _vertex_perms, check_automorphism
 from shiftfold.counting import congruence_closure
 
 from conftest import identity_automorphism, invert_automorphism, is_isomorphic
@@ -41,6 +43,19 @@ def test_fig_automaton_automorphisms(fig_automaton):
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_automorphisms(de_bruijn(3, 2), cap=3)
+
+
+def test_the_vertex_search_fits_the_recursion_limit_up_to_the_state_bound():
+    """The vertex search recurses once per state.  At `AUT_STATE_CAP` states (G(2,9)) it
+    reaches its first vertex map, the identity, within the default recursion limit; one
+    state more is refused before the search starts."""
+    assert sys.getrecursionlimit() == 1000
+    g = de_bruijn(2, 9)
+    assert g.state_count == AUT_STATE_CAP
+    assert next(_vertex_perms(g)) == tuple(range(AUT_STATE_CAP))
+    loops = Automaton(2, ((0, 0),) * (AUT_STATE_CAP + 1))
+    with pytest.raises(CapExceededError, match="limited to 512 states; the automaton has 513"):
+        enumerate_automorphisms(loops)
 
 
 def test_enumerated_automorphisms_are_valid(fig_automaton):
