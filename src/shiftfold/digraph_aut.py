@@ -25,6 +25,10 @@ from .transducers import (
 # recurses once per state, so this leaves about half of Python's default recursion limit
 # of 1,000 frames to its callers.
 AUT_STATE_CAP = 512
+# Most candidate vertex placements (images that pass the signature filter) the search tries.
+# The G(3,2) and G(4,2) quotients take at most 157, G(2,5) and G(3,3) about 20,000, and
+# G(2,6) and the 70-state base of the fourth power of golden `h3_infinite` over 3,000,000.
+AUT_PLACEMENT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,8 @@ def edge_count_matrix(a: Automaton) -> tuple[tuple[int, ...], ...]:
 
 
 def _vertex_perms(a: Automaton):
-    """All vertex permutations preserving the edge-count matrix, in lex order."""
+    """All vertex permutations preserving the edge-count matrix, in lex order; past
+    `AUT_PLACEMENT_CAP` candidate placements CapExceededError, saying how far it got."""
     m = a.state_count
     counts = edge_count_matrix(a)
     signature = [
@@ -118,14 +123,24 @@ def _vertex_perms(a: Automaton):
 
     assignment = [-1] * m
     used = [False] * m
+    tried = deepest = found = 0
 
     def descend(v: int):
+        nonlocal tried, deepest, found
+        deepest = max(deepest, v)
         if v == m:
+            found += 1
             yield tuple(assignment)
             return
         for u in range(m):
             if used[u] or signature[u] != signature[v]:
                 continue
+            tried += 1
+            if tried > AUT_PLACEMENT_CAP:
+                raise CapExceededError(
+                    f"automorphism search cap exceeded after {AUT_PLACEMENT_CAP} vertex"
+                    f" placements (vertex maps found: {found}; most states placed: {deepest} of {m})"
+                )
             ok = True
             for w in range(v):
                 if counts[v][w] != counts[u][assignment[w]] or counts[w][v] != counts[assignment[w]][u]:

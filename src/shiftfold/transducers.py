@@ -17,8 +17,9 @@ index, which fixes the bytes `product` writes.  `order` holds each power as
 per-letter columns plus one interned output-row id per state, and walks the
 core of its small base times the last power block by block (one set of power
 states per base state).  Batches of newly found states wait per base state
-and are swept round-robin, each moving through one column at a time, and a
-state's row id is read from its base state's table, filled as rows are met.
+and are swept round-robin, each moving as a set through one column at a time.
+The base's rows are interned before the first power, and every power state's
+row id is read from its base state's table, which interns rows as they are met.
 The refinement (`_refine`) works on such columns and ids, so `order` refines a
 core past the state cap as walked, stopping once the class count passes the
 cap: a power past it is never fully minimized, and none is built as a
@@ -387,11 +388,9 @@ def _power_blocks(moves, nxt, p: int, q: int) -> list[set[int]]:
     sweeps p = 0, 1, ... round-robin until no batch waits, and moves each batch to block
     `moves[p][x][0]` through the one column `nxt[moves[p][x][1]]`: a whole batch per C-level
     `map`, keeping the states that block lacks by one membership test each, so the cost
-    follows the batch and not the block.  A batch of one state, the common case in small
-    walks, moves letter by letter instead, with no set built per letter.  Sweeping lets
-    batches grow while they wait: the 117 walks of one `power_growth` pass (46,761 power
-    states) move 2,590 batches, where taking the latest batch first moved 4,852, and take
-    17.5 instead of 24.8 ms (2 vCPU, Python 3.11.7).
+    follows the batch and not the block.  Sweeping lets batches grow while they wait: the
+    117 walks of one `power_growth` pass (46,761 power states) move 2,590 batches, where
+    taking the latest batch first moved 4,852.
     """
     blocks = [set() for _ in moves]
     blocks[p].add(q)
@@ -404,25 +403,14 @@ def _power_blocks(moves, nxt, p: int, q: int) -> list[set[int]]:
             if not new:
                 continue
             pending[p] = None
-            if len(new) == 1:
-                (q,) = new
-                for p2, y in moves[p]:
-                    r = nxt[y][q]
-                    if r not in blocks[p2]:
-                        blocks[p2].add(r)
-                        if pending[p2]:
-                            pending[p2].add(r)
-                        else:
-                            pending[p2] = {r}
-            else:
-                for p2, y in moves[p]:
-                    fresh = set(filterfalse(known[p2], map(cols[y], new)))
-                    if fresh:
-                        blocks[p2] |= fresh
-                        if pending[p2]:
-                            pending[p2] |= fresh
-                        else:
-                            pending[p2] = fresh
+            for p2, y in moves[p]:
+                fresh = set(filterfalse(known[p2], map(cols[y], new)))
+                if fresh:
+                    blocks[p2] |= fresh
+                    if pending[p2]:
+                        pending[p2] |= fresh
+                    else:
+                        pending[p2] = fresh
     return blocks
 
 
@@ -460,15 +448,14 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     T^k is the core of T times T^(k-1), walked from a forced pair with the small base T
     leading (see `_power_blocks`): the core is one block of power states per state of T.
     The power is held as per-letter successor columns, so the walk and the next columns map
-    a whole block through one column at a time, and as one output-row id per state.  T^2's
-    rows are read off the base's as tuples, tested, and only then interned, id 0 being the
-    identity row, so a call that ends at k = 2 (most torsion elements) builds no table.
-    From T^3 on, pair (p, q) reads its id from base state p's table (`_RowIds`) at q's id,
-    so no row is built per power state, the identity test is one `count` of 0, and the
+    a whole block through one column at a time, and as one output-row id per state.  The
+    base's rows are interned before the first power, id 0 being the identity row, and pair
+    (p, q) of every power reads its id from base state p's table (`_RowIds`) at q's id, so
+    no row is built per power state, the identity test is one `count` of 0, and the
     refinement's first round hashes ints.  The core is numbered block by block, with no
-    sort, and no power is built as a machine.  T^k is the identity exactly when every state of that core outputs
-    the identity row, so the core needs no minimizing for the test, and its successors are
-    read only when it fails.  A core of at most `cap_states` states cannot
+    sort, and no power is built as a machine.  T^k is the identity exactly when every state
+    of that core outputs the identity row, so the core needs no minimizing for the test, and
+    its successors are read only when it fails.  A core of at most `cap_states` states cannot
     minimize past the cap, so it is kept as it is; a bigger one is refined with the cap in
     the columns just walked (see `_refine`), which stops once its class count passes it, and
     the merged columns are the next power's.  So None means that the order exceeds
@@ -516,8 +503,12 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
     while delta[start][0] != start:
         start = delta[start][0]
     letter = output[start][0]
-    picks = [itemgetter(*row) for row in output]  # two or more letters: each picks a tuple
-    tables = None
+    rows = list(dict.fromkeys(chain((ident,), output)))  # id 0 is the identity
+    ids = dict(zip(rows, count()))
+    # two or more letters, so each itemgetter picks a tuple: (p, q) outputs q's row read
+    # through p's
+    tables = [_RowIds(itemgetter(*row), rows, ids) for row in output]
+    output = list(map(ids.__getitem__, output))
     for k in range(2, cap_iters + 1):
         q, step = 0, nxt[letter]
         while step[q] != q:
@@ -525,20 +516,10 @@ def order(t: Transducer, cap_states: int = ELEMENT_STATE_CAP, cap_iters: int = 1
         blocks = _power_blocks(moves, nxt, start, q)
         last = output.__getitem__
         output = []
-        if tables is None:  # T^2: (p, q) outputs q's row read through p's, as a tuple
-            for pick, block in zip(picks, blocks):
-                output += map(pick, map(last, block))
-            if output.count(ident) == len(output):
-                return k
-            rows = list(dict.fromkeys(chain((ident,), output)))  # id 0 is the identity
-            ids = dict(zip(rows, count()))
-            output = list(map(ids.__getitem__, output))
-            tables = [_RowIds(pick, rows, ids) for pick in picks]
-        else:  # (p, q)'s row id, from p's table at q's
-            for table, block in zip(tables, blocks):
-                output += map(table.__getitem__, map(last, block))
-            if output.count(0) == len(output):
-                return k
+        for table, block in zip(tables, blocks):  # (p, q)'s row id, from p's table at q's
+            output += map(table.__getitem__, map(last, block))
+        if output.count(0) == len(output):
+            return k
         number = count()  # zip stops at the end of a block before it draws a number
         rank = [dict(zip(block, number)).__getitem__ for block in blocks]
         cols = [col.__getitem__ for col in nxt]

@@ -252,12 +252,12 @@ def g42_pool():
 
 
 def has_a_new_row(t, limit=400):
-    """Does some power T^k with k >= 3, up to `limit` states, output a row that neither the
-    identity nor T^2 outputs, nor any power between?  `order` interns T^2's rows at once,
-    so such a row is one its tables intern as the walk meets it."""
-    p = product_min(t, t)
+    """Does some power T^k with k >= 2, up to `limit` states, output a row that neither the
+    identity nor T outputs, nor any power between?  `order` interns T's rows at once, so
+    such a row is one its tables intern as the walk meets it."""
+    p = t
     rows = {tuple(range(t.alphabet_size)), *p.output}
-    for _ in range(6):
+    for _ in range(7):
         if p.state_count == 1 or p.state_count > limit:
             return False
         p = product_min(p, t)
@@ -277,7 +277,7 @@ G42_ELEMENTS = [
 
 def test_order_is_unchanged_on_a_four_letter_alphabet(g42_pool):
     """`order` against `replaced_order` at caps one below, at and one above each power's size,
-    on 4-letter elements some power of which, past T^2, outputs a new row, one `order`'s
+    on 4-letter elements some power of which, past T^1, outputs a new row, one `order`'s
     tables intern as the walk meets it.  Big bases, one table per state, are the powers of
     `h3_infinite` in `test_order_is_unchanged_on_big_bases`."""
     for left, right in G42_ELEMENTS:

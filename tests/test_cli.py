@@ -519,6 +519,25 @@ def test_aut_refuses_an_automaton_past_the_state_bound(tmp_path):
     assert proc.stderr == "error: automorphism search is limited to 512 states; the automaton has 1024\n"
 
 
+def test_aut_stops_a_long_search_at_the_placement_budget(tmp_path):
+    """The 70-state base of `h3_infinite`'s fourth power is far below `AUT_STATE_CAP`, but
+    the vertex search passes 3,000,000 candidate placements on it without ending.  At
+    `AUT_PLACEMENT_CAP` it stops with one line on stderr saying how far it got."""
+    t = h3_infinite()
+    p = t
+    for _ in range(3):
+        p = product_min(p, t)
+    assert p.state_count == 70
+    path = tmp_path / "h3_power4.txt"
+    path.write_text(render_transducer(p))
+    proc = run_child(["aut", str(path)], timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: automorphism search cap exceeded after 1000000 vertex placements"
+        " (vertex maps found: 1; most states placed: 70 of 70)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

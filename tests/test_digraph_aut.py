@@ -21,6 +21,7 @@ from shiftfold import (
     verify_embedding,
     weak_minimize,
 )
+from shiftfold import digraph_aut
 from shiftfold.digraph_aut import AUT_STATE_CAP, _vertex_perms, check_automorphism
 from shiftfold.counting import congruence_closure
 
@@ -56,6 +57,21 @@ def test_the_vertex_search_fits_the_recursion_limit_up_to_the_state_bound():
     loops = Automaton(2, ((0, 0),) * (AUT_STATE_CAP + 1))
     with pytest.raises(CapExceededError, match="limited to 512 states; the automaton has 513"):
         enumerate_automorphisms(loops)
+
+
+def test_the_vertex_search_stops_at_its_placement_budget(monkeypatch):
+    """G(2,5) takes 20,012 candidate placements, within `AUT_PLACEMENT_CAP`; with a budget of
+    20,000 the search stops with CapExceededError after finding the identity vertex map."""
+    g = de_bruijn(2, 5)
+    assert len(enumerate_automorphisms(g)) == 2
+    monkeypatch.setattr(digraph_aut, "AUT_PLACEMENT_CAP", 20_000)
+    with pytest.raises(
+        CapExceededError,
+        match=r"after 20000 vertex placements \(vertex maps found: 1; most states placed: 32 of 32\)",
+    ):
+        enumerate_automorphisms(g)
+    monkeypatch.setattr(digraph_aut, "AUT_PLACEMENT_CAP", 20_012)
+    assert len(enumerate_automorphisms(g)) == 2
 
 
 def test_enumerated_automorphisms_are_valid(fig_automaton):
