@@ -331,44 +331,3 @@ def folding_from_sync(a: Automaton, level: int | None = None) -> StatePartition:
     require_sync_level(a, core=True)
     return StatePartition.from_class_of(forced_states(a, level))
 
-
-def least_encoding(delta, output=None) -> tuple[bytes, list[int]]:
-    """Least BFS encoding over all root choices, and the old -> new order producing it.
-
-    From each root, a breadth-first search reading letters 0..n-1 numbers the states in
-    visit order.  The encoding is the list n, m followed, state by state in that order, by
-    its renamed transition row and then its output row when `output` is given.  Roots that
-    miss some state are skipped; ties keep the least root.  Requires every state to be
-    reachable from at least one single state (true for any core strongly synchronizing
-    automaton).  After n, m the list starts with 0 when letter 0 fixes the root, else 1, so
-    0-fixed roots go first and, once one reaches every state, no other is tried.  In a core
-    strongly synchronizing machine one suffices: the state 0^k forces is the only 0-fixed
-    state, and it reaches every state.
-
-    Only the least list is packed, each value as 4 bytes big-endian.  Fixed-width
-    big-endian bytes compare exactly like the lists they pack, a proper prefix
-    first, so byte order is list order; `subgroup_closure` orders elements by it.
-    """
-    m = len(delta)
-    n = len(delta[0])
-    best = best_order = None
-    for root in sorted(range(m), key=lambda r: delta[r][0] != r):
-        if best is not None and best[2] == 0 and delta[root][0] != root:
-            break
-        order = [-1] * m
-        order[root] = 0
-        visit = [root]
-        flat = [n, m]
-        for q in visit:
-            for t in delta[q]:
-                if order[t] == -1:
-                    order[t] = len(visit)
-                    visit.append(t)
-                flat.append(order[t])
-            if output is not None:
-                flat.extend(output[q])
-        if len(visit) == m and (best is None or flat < best):
-            best, best_order = flat, order
-    if best is None:
-        raise ValueError("no state reaches the whole machine; cannot canonicalize")
-    return b"".join(v.to_bytes(4, "big") for v in best), best_order

@@ -209,19 +209,20 @@ def cmd_order(args) -> int:
 
 
 def _bell(k: int) -> int:
-    """counting.bell(k), or one ValueError when its decimal form passes Python's digit limit.
+    """counting.bell(k), or one ValueError when its decimal form passes Python's digit limit,
+    or the default limit when the limit is switched off (0), so that no k runs unbounded.
 
     B(k) >= S(k, j) >= (j**k - j*(j-1)**k)/j! for each j >= 2, and that bound
     refuses most such k before the Bell triangle runs.
     """
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     message = f"bell {k} exceeds the limit ({limit} digits) for integer string conversion"
-    for j in range(2, k if limit else 2):
+    for j in range(2, k):
         missing = j * exp(k * log1p(-1 / j))  # j*(j-1)**k / j**k
         if missing < 1 and k * log(j) + log1p(-missing) - lgamma(j + 1) > limit * log(10):
             raise ValueError(message)
     value = counting.bell(k)
-    if limit and value >= 10**limit:
+    if value >= 10**limit:
         raise ValueError(message)
     return value
 

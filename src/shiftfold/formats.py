@@ -1,9 +1,8 @@
 """Line-oriented text formats for machines, rules, partitions and automorphisms.
 
 Every format round-trips bit-exactly.  Lines starting with `#` and blank
-lines are ignored.  Syntax problems raise ParseError; values that parse but
-violate range or completeness constraints raise SemanticError instead, so
-callers can distinguish the two.
+lines are ignored.  Every problem, a syntax error or a value that parses but
+violates a range or completeness constraint, raises ParseError.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ class ParseError(ValueError):
         super().__init__(message + spot)
         self.line = line
         self.column = column
-
-
-class SemanticError(ParseError):
-    """Syntactically fine but out of range or incomplete."""
 
 
 def render_automaton(a: Automaton) -> str:
@@ -114,11 +109,11 @@ def sniff_format(text: str) -> str:
 
 @contextmanager
 def _semantic(lineno: int | None = None):
-    """Report a constructor's validation ValueError as a SemanticError."""
+    """Report a constructor's validation ValueError as a ParseError."""
     try:
         yield
     except ValueError as exc:
-        raise SemanticError(str(exc), lineno) from None
+        raise ParseError(str(exc), lineno) from None
 
 
 def _labelled_ints(entry: tuple[int, str], label: str) -> tuple[int, list[int]]:
@@ -160,11 +155,11 @@ def _indexed_rows(lines, keyword: str, m: int, parse_row) -> list:
         except ValueError:
             raise ParseError(f"{id_name} is not an integer", lineno) from None
         if q in rows:
-            raise SemanticError(twice.format(q), lineno)
+            raise ParseError(twice.format(q), lineno)
         rows[q] = parse_row(rest, lineno)
     # checks ids and counts only: nothing here grows with the header's m
     if len(rows) < m or not all(0 <= q < m for q in rows):
-        raise SemanticError(missing.format(m - 1, sorted(rows)), None)
+        raise ParseError(missing.format(m - 1, sorted(rows)), None)
     return [rows[q] for q in range(m)]
 
 
@@ -208,7 +203,7 @@ def parse_partition(text: str) -> StatePartition:
     lines, (m, classes) = _header(text, "partition", ("states", "classes"))
     lineno, table = _one_labelled_line(lines, "partition", "class_of")
     if len(table) != m:
-        raise SemanticError(f"need {m} entries, got {len(table)}", lineno)
+        raise ParseError(f"need {m} entries, got {len(table)}", lineno)
     with _semantic(lineno):
         return StatePartition(tuple(table), classes)
 
@@ -219,12 +214,12 @@ def parse_automorphism(text: str, automaton: Automaton | None = None) -> Digraph
         raise ParseError("automorphism needs a vertices line", lines[0][0])
     lineno, vertex = _labelled_ints(lines[1], "vertices")
     if len(vertex) != m:
-        raise SemanticError(f"need {m} vertex images", lineno)
+        raise ParseError(f"need {m} vertex images", lineno)
 
     def edge_row(rest: str, lineno: int) -> tuple[int, ...]:
         row = _ints(rest, lineno)
         if len(row) != n:
-            raise SemanticError(f"need {n} letter images", lineno)
+            raise ParseError(f"need {n} letter images", lineno)
         return tuple(row)
 
     phi = DigraphAutomorphism(tuple(vertex), tuple(_indexed_rows(lines[2:], "edges", m, edge_row)))

@@ -6,7 +6,9 @@ behave identically on all inputs.  `product_raw` builds the whole state
 product and is the reference that `product_min` must agree with.  Machine
 equality throughout is "canonical key of the weakly minimal core
 representative", which makes the usual convention of not distinguishing
-behaviourally equal machines executable.
+behaviourally equal machines executable.  That key and the canonical
+renumbering both read one breadth-first search from the machine's only
+0-fixed state (`_encoding`).
 
 Products are the one large-scale path (`order` forms each power of an element
 with one), so the work per state of the product walks and of the Moore
@@ -38,9 +40,9 @@ again.  Operands the library did not build are analysed as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from math import ceil
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 
 from .automata import (
     Automaton,
@@ -48,7 +50,6 @@ from .automata import (
     _trusted,
     core_of,
     is_core,
-    least_encoding,
     parse_word,
     require_sync_level,
     sync_level,
@@ -323,18 +324,55 @@ def hn_levels(t: Transducer) -> tuple[int, int] | None:
     return None if member is None else member[1]
 
 
-def canonical_key(t: Transducer) -> bytes:
-    """Renaming-invariant encoding of the machine including its outputs.
+def _encoding(t: Transducer) -> list[int]:
+    """The canonical encoding of T: n and m, then, state by state in the order in which a
+    breadth-first search reading letters 0..n-1 from T's only 0-fixed state first visits
+    them, the state's renamed transition row and its output row.
 
-    `least_encoding` packs each value as 4 bytes big-endian, so keys compare
-    as bytes exactly as their value lists do; `subgroup_closure` relies on
+    In a core strongly synchronizing machine of sync level k, a state that letter 0 fixes is
+    where 0^k leads from it, so it is the state 0^k forces: there is exactly one.  Every
+    state is forced, so it reaches them all.  Renaming T's states renames its 0-fixed state too and keeps the
+    letters, so the search visits the same states in the same order and the list does not
+    depend on state names.  Any other root's list starts with a 1 after n and m, where this
+    one starts with 0, so it is the least list over all roots that reach every state.  A
+    machine without exactly one 0-fixed state, or whose 0-fixed state misses a state, is
+    refused with ValueError.
+    """
+    delta, output = t.base.delta, t.output
+    m = len(delta)
+    fixed = list(map(eq, map(itemgetter(0), delta), range(m)))
+    if fixed.count(True) != 1:
+        raise ValueError(f"letter 0 fixes {fixed.count(True)} states, not one; cannot canonicalize")
+    root = fixed.index(True)
+    order = [-1] * m
+    order[root] = 0
+    visit = [root]
+    flat = [t.alphabet_size, m]
+    for q in visit:
+        for s in delta[q]:
+            if order[s] < 0:
+                order[s] = len(visit)
+                visit.append(s)
+            flat.append(order[s])
+        flat += output[q]
+    if len(visit) < m:
+        raise ValueError("the state letter 0 fixes misses a state; cannot canonicalize")
+    return flat
+
+
+def canonical_key(t: Transducer) -> bytes:
+    """Renaming-invariant key of a core strongly synchronizing machine including its
+    outputs: its `_encoding`, each value packed as 4 bytes big-endian.
+
+    Fixed-width big-endian bytes compare exactly like the lists they pack, a proper prefix
+    first, so keys compare as bytes exactly as their lists do; `subgroup_closure` relies on
     that order to list elements by (state count, key).
     """
-    return b"T" + least_encoding(t.base.delta, t.output)[0]
+    return b"T" + b"".join(v.to_bytes(4, "big") for v in _encoding(t))
 
 
 def canonical_rep(t: Transducer) -> Transducer:
-    """Minimal core representative, renumbered by its least BFS encoding.
+    """Minimal core representative, renumbered in the order its `_encoding` visits states.
 
     Behaviourally equal machines map to identical objects, so canonical
     representatives can serve as dictionary keys.
@@ -344,13 +382,11 @@ def canonical_rep(t: Transducer) -> Transducer:
 
 def renumber(t: Transducer) -> Transducer:
     """`canonical_rep` of a machine that is already weakly minimal and core, such as a
-    `product_min` result, without minimizing it again: T renumbered by its least BFS
-    encoding.  Renumbering keeps the sync level, so T's known bound on it is kept."""
-    _, order = least_encoding(t.base.delta, t.output)
-    old_of = sorted(range(len(order)), key=order.__getitem__)
-    delta = tuple(tuple(order[s] for s in t.base.delta[old]) for old in old_of)
-    output = tuple(t.output[old] for old in old_of)
-    return _machine(t.alphabet_size, delta, output, _known_bound(t.base))
+    `product_min` result, without minimizing it again: the renamed transition and output
+    rows that T's `_encoding` lists, read back state by state.  Renumbering keeps the sync
+    level, so T's known bound on it is kept."""
+    rows = list(zip(*[islice(_encoding(t), 2, None)] * t.alphabet_size))
+    return _machine(t.alphabet_size, tuple(rows[::2]), tuple(rows[1::2]), _known_bound(t.base))
 
 
 def equal_omega(t: Transducer, u: Transducer) -> bool:

@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def bell_refusal(k: str) -> str:
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     return f"error: bell {k} exceeds the limit ({limit} digits) for integer string conversion\n"
 
 
@@ -443,18 +443,30 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_child(argv, timeout, limit_memory=True):
-    """`shiftfold` on `argv` in a child process run from the repository root, its address
-    space capped at 1 GiB unless `limit_memory` is False."""
+def run_child(argv, timeout, limit_memory=True, **env):
+    """`shiftfold` on `argv` in a child process run from the repository root, with `env`
+    added to its environment, its address space capped at 1 GiB unless `limit_memory` is
+    False."""
     return subprocess.run(
         [sys.executable, "-m", "shiftfold.cli", *argv],
         cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
         capture_output=True,
         text=True,
         timeout=timeout,
         preexec_fn=_cap_address_space if limit_memory else None,
     )
+
+
+def test_bell_is_refused_with_the_digit_limit_switched_off():
+    """With `PYTHONINTMAXSTRDIGITS=0` Python prints integers of any length, and B(100000)
+    would take without bound to compute; `bell` holds to the default limit instead."""
+    start = time.perf_counter()
+    proc = run_child(["bell", "100000"], timeout=10, PYTHONINTMAXSTRDIGITS="0")
+    assert time.perf_counter() - start < 5
+    limit = sys.int_info.default_max_str_digits
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: bell 100000 exceeds the limit ({limit} digits) for integer string conversion\n"
 
 
 def test_subgroup_ag_refuses_an_infinite_order_generator():

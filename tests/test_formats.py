@@ -13,7 +13,6 @@ from shiftfold import (
 )
 from shiftfold.formats import (
     ParseError,
-    SemanticError,
     parse_automaton,
     parse_automorphism,
     parse_machine,
@@ -83,16 +82,14 @@ def test_parse_error_reports_line():
 def test_range_error_is_semantic():
     # target 2 out of range for a 2-state machine
     bad = "transducer n=2 states=2\nstate 0: 2 0 | 0 1\nstate 1: 0 1 | 0 1\n"
-    with pytest.raises(SemanticError):
+    with pytest.raises(ParseError, match="target 2 out of range"):
         parse_transducer(bad)
-    # a malformed token is a plain parse error, not semantic
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError):
         parse_transducer("transducer n=2 states=1\nstate 0: x 0 | 0 1\n")
-    assert not isinstance(err.value, SemanticError)
 
 
 def test_missing_state_is_semantic():
-    with pytest.raises(SemanticError):
+    with pytest.raises(ParseError):
         parse_automaton("automaton n=2 states=2\nstate 0: 0 0\n")
 
 
@@ -106,7 +103,7 @@ def test_header_state_count_allocates_nothing():
 
     tracemalloc.start()
     try:
-        with pytest.raises(SemanticError) as err:
+        with pytest.raises(ParseError) as err:
             parse_transducer("transducer n=2 states=3000000\n")
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -117,7 +114,7 @@ def test_header_state_count_allocates_nothing():
 
 def test_negative_state_count_reaches_the_constructor():
     for text in ("automaton n=2 states=-1\n", "transducer n=2 states=-3\n"):
-        with pytest.raises(SemanticError, match="needs at least one state"):
+        with pytest.raises(ParseError, match="needs at least one state"):
             parse_machine(text)
 
 

@@ -1,14 +1,14 @@
-"""Properties of the shared canonical encoder and the decomposition loop.
+"""Properties of the canonical encoder and the decomposition loop.
 
 Renaming states must not change `canonical_form`, `canonical_key` or
 `canonical_rep`; `canonical_rep` must be idempotent; and both decomposition
-entry points must produce factorizations that `verify` accepts.
-`least_encoding` must choose the same order as `oracle_encoding`, the earlier
-encoder that packed every candidate at 2 bytes per value, and its keys must
-be that encoder's values at 4 bytes each, so keys sort the same way.
+entry points must produce factorizations that `verify` accepts.  On a machine
+with one 0-fixed state that reaches every state, the library's encoder, one
+search from that state, must give `renumber` the order that `oracle_encoding`
+(conftest's search over all roots, 2 bytes per value) chooses, and
+`canonical_key` that encoder's values at 4 bytes each, so keys sort the same
+way; every other machine is refused.
 """
-
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -24,52 +24,11 @@ from shiftfold import (
     product_min,
     verify,
 )
-from shiftfold.automata import least_encoding
+from shiftfold.transducers import renumber
 
-from conftest import canonical_form
+from conftest import canonical_form, h3_infinite, oracle_encoding, pool_product
 
 SETTINGS = settings(max_examples=25, deadline=None)
-
-
-def oracle_bfs_order(delta, n, root):
-    m = len(delta)
-    order = [-1] * m
-    order[root] = 0
-    queue = deque([root])
-    count = 1
-    while queue:
-        q = queue.popleft()
-        for x in range(n):
-            t = delta[q][x]
-            if order[t] == -1:
-                order[t] = count
-                count += 1
-                queue.append(t)
-    return order if count == m else None
-
-
-def oracle_encoding(delta, output=None):
-    """The all-roots encoder packing each candidate at 2 bytes per value."""
-    m, n = len(delta), len(delta[0])
-    best = best_order = None
-    for root in range(m):
-        order = oracle_bfs_order(delta, n, root)
-        if order is None:
-            continue
-        old_of = [0] * m
-        for old, new in enumerate(order):
-            old_of[new] = old
-        flat = [n, m]
-        for old in old_of:
-            flat.extend([order[t] for t in delta[old]])
-            if output is not None:
-                flat.extend(output[old])
-        enc = b"".join(v.to_bytes(2, "big") for v in flat)
-        if best is None or enc < best:
-            best, best_order = enc, order
-    if best is None:
-        raise ValueError("no state reaches the whole machine; cannot canonicalize")
-    return best, best_order
 
 
 def widened(two_byte_key):
@@ -77,19 +36,20 @@ def widened(two_byte_key):
 
 
 @st.composite
-def tables(draw, n, m, with_output):
-    """A transition table, with an output table when asked.  It is random, or
-    letter 0 runs one cycle through all states so every root reaches the whole
-    machine, or it is circulant (q reads x to q + shift[x] mod m, every state
-    outputs the same row) so every root gives the same encoding, or letter 0
-    fixes a random set of states, so the encoder's 0-fixed roots can tie."""
+def tables(draw, n, m):
+    """A transition table and an output table.  It is random, or letter 0 runs one cycle
+    through all states, or it is circulant (q reads x to q + shift[x] mod m, every state
+    outputs the same row), or letter 0 fixes a random set of states, or letter 0 fixes one
+    state and letter 1 runs a path from it through all states, so the encoder accepts it.
+    Past one state, a cycle has no 0-fixed state and a circulant table none or all of them,
+    so the encoder refuses both."""
     state = st.integers(0, m - 1)
     letters = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
-    kind = draw(st.sampled_from(("random", "cycle", "circulant", "fixed")))
+    kind = draw(st.sampled_from(("random", "cycle", "circulant", "fixed", "forced")))
     if kind == "circulant":
         shift = draw(st.lists(state, min_size=n, max_size=n))
         delta = [[(q + c) % m for c in shift] for q in range(m)]
-        output = (draw(letters),) * m if with_output else None
+        output = (draw(letters),) * m
     else:
         delta = [draw(st.lists(state, min_size=n, max_size=n)) for _ in range(m)]
         if kind == "cycle":
@@ -99,21 +59,51 @@ def tables(draw, n, m, with_output):
             for q, fixed in enumerate(draw(st.lists(st.booleans(), min_size=m, max_size=m))):
                 if fixed:
                     delta[q][0] = q
-        output = tuple(draw(letters) for _ in range(m)) if with_output else None
+        if kind == "forced":
+            path = draw(st.permutations(range(m)))
+            for q in range(m):
+                if delta[q][0] == q:
+                    delta[q][0] = (q + 1) % m
+            delta[path[0]][0] = path[0]
+            for p, q in zip(path, path[1:]):
+                delta[p][1] = q
+        output = tuple(draw(letters) for _ in range(m))
     return tuple(map(tuple, delta)), output
 
 
+def has_one_reaching_fixed_state(delta) -> bool:
+    """Does letter 0 fix exactly one state, and does that state reach every state?"""
+    fixed = [q for q, row in enumerate(delta) if row[0] == q]
+    if len(fixed) != 1:
+        return False
+    seen, stack = set(fixed), list(fixed)
+    while stack:
+        for t in delta[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return len(seen) == len(delta)
+
+
+def assert_matches_oracle(t):
+    """`canonical_key` is the oracle's key widened to 4 bytes a value, and `renumber` names
+    the states as the oracle's order does; returns the two keys."""
+    expected, order = oracle_encoding(t.base.delta, t.output)
+    key = canonical_key(t)
+    assert key == b"T" + widened(expected)
+    delta, output = renamed(t.base.delta, t.output, order)
+    assert renumber(t) == Transducer(Automaton(t.alphabet_size, delta), output)
+    return key, expected
+
+
 def encode_both(delta, output):
-    try:
-        expected = oracle_encoding(delta, output)
-    except ValueError:
-        with pytest.raises(ValueError, match="cannot canonicalize"):
-            least_encoding(delta, output)
+    t = Transducer(Automaton(len(delta[0]), delta), output)
+    if not has_one_reaching_fixed_state(delta):
+        for encode in (canonical_key, renumber):
+            with pytest.raises(ValueError, match="cannot canonicalize"):
+                encode(t)
         return None
-    key, order = least_encoding(delta, output)
-    assert order == expected[1]
-    assert key == widened(expected[0])
-    return key, expected[0]
+    return assert_matches_oracle(t)
 
 
 def renamed(delta, output, perm):
@@ -165,10 +155,39 @@ def test_decompositions_verify(h3_pool, picks):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.sampled_from((2, 3)), st.integers(1, 25), st.booleans())
-def test_least_encoding_matches_the_two_byte_encoder(data, n, m, with_output):
-    first = encode_both(*data.draw(tables(n, m, with_output)))
-    second = encode_both(*data.draw(tables(n, m, with_output)))
+@given(st.data(), st.sampled_from((2, 3)), st.integers(1, 25))
+def test_least_encoding_matches_the_two_byte_encoder(data, n, m):
+    first = encode_both(*data.draw(tables(n, m)))
+    second = encode_both(*data.draw(tables(n, m)))
     if first is not None and second is not None:
         (key1, old1), (key2, old2) = first, second
         assert (key1 < key2, key1 == key2) == (old1 < old2, old1 == old2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_pool_products_are_encoded_as_the_oracle_encodes_them(h3_pool, picks):
+    """Products of G(3,2) glued-pool elements, each core with one 0-fixed state."""
+    assert_matches_oracle(pool_product(h3_pool, picks))
+
+
+def test_h3_infinite_powers_are_encoded_as_the_oracle_encodes_them():
+    """`h3_infinite` and its powers up to the first past 5,000 states (5,607)."""
+    base = power = h3_infinite()
+    while True:
+        assert_matches_oracle(power)
+        if power.state_count >= 5_000:
+            break
+        power = product_min(power, base)
+    assert power.state_count == 5_607
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 1))],
+    ids=["two 0-fixed states", "no 0-fixed state", "0-fixed state misses a state"],
+)
+def test_canonical_key_refuses_machines_without_one_reaching_fixed_state(delta):
+    t = Transducer(Automaton(2, delta), ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="cannot canonicalize"):
+        canonical_key(t)
